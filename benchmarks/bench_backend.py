@@ -61,6 +61,7 @@ from repro.experiments.fig11_processor import comparisons
 from repro.experiments.tables import table4_configs, _table4_instructions
 from repro.fastsim.vector import NO_VECTOR_ENV, vector_enabled
 from repro.sim import runner
+from repro.sim.runner import RunSpec
 from repro.workload.formats import is_trace_ref, make_trace_ref, parse_trace_ref, write_trace
 from repro.workload.generator import generate_trace
 from repro.workload.profiles import benchmark_names
@@ -149,7 +150,7 @@ def _clear_derived(points) -> None:
 def _time_backend(points, backend: str) -> float:
     started = time.perf_counter()
     for benchmark, config, instructions, mode in points:
-        runner.execute(benchmark, config, instructions, mode=mode, backend=backend)
+        runner.execute(RunSpec(benchmark, config, instructions, mode=mode, backend=backend))
     return time.perf_counter() - started
 
 

@@ -4,6 +4,7 @@ from repro.sim.config import CacheLevelConfig, SystemConfig, paper_baseline
 from repro.sim.results import SimResult, relative_energy_delay
 from repro.sim.simulator import Simulator
 from repro.sim.runner import (
+    RunSpec,
     clear_caches,
     execute,
     load_cached,
@@ -13,6 +14,7 @@ from repro.sim.runner import (
 
 __all__ = [
     "CacheLevelConfig",
+    "RunSpec",
     "SimResult",
     "Simulator",
     "SystemConfig",

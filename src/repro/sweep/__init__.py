@@ -2,8 +2,9 @@
 
 The layer between "what to simulate" and "how it runs":
 
-* :class:`RunSpec` / :class:`SweepSpec` — declarative (benchmark,
-  config, instructions, salt) grids (``repro.sweep.spec``);
+* :class:`RunSpec` / :class:`SweepSpec` — one run and a declarative
+  grid of runs (``repro.sweep.spec``; ``RunSpec`` is defined beside the
+  cache key in ``repro.sim.runner``);
 * :class:`SweepEngine` — resolves specs against the runner caches and
   fans misses out over a process pool (``repro.sweep.engine``);
 * :class:`SweepResult` — spec-keyed results with JSON/tabular export

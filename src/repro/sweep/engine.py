@@ -29,29 +29,9 @@ from pickle import PicklingError
 from typing import Callable, List, Optional, Tuple
 
 from repro.sim import runner
-from repro.sim.config import SystemConfig
 from repro.sim.results import SimResult
 from repro.sweep.result import SweepResult, SweepStats
 from repro.sweep.spec import RunSpec, SweepSpec
-
-#: Payload shipped to worker processes (must stay picklable).
-_Payload = Tuple[str, SystemConfig, int, int, str, str, int, Optional[int], int]
-
-
-def _execute_payload(payload: _Payload) -> SimResult:
-    """Worker entry point: execute one run with no cache side effects.
-
-    Chunked runs always execute with ``chunk_jobs=1`` here: the sweep
-    engine's per-run pool and the runner's per-chunk pool must never
-    nest.  Within-run chunk parallelism belongs to single-run callers
-    (``trace run --jobs``).
-    """
-    (benchmark, config, instructions, salt, mode, backend,
-     chunks, chunk_overlap, interval) = payload
-    return runner.execute(
-        benchmark, config, instructions, salt, mode, backend,
-        chunks, chunk_overlap, chunk_jobs=1, interval=interval,
-    )
 
 
 def default_jobs() -> int:
@@ -133,14 +113,7 @@ class SweepEngine:
         result = SweepResult(spec=spec)
         pending: List[RunSpec] = []
         for run in unique:
-            cached = (
-                runner.load_cached(
-                    run.benchmark, run.config, run.instructions, run.salt, run.mode,
-                    run.backend, run.chunks, run.chunk_overlap, run.interval,
-                )
-                if self.use_cache
-                else None
-            )
+            cached = runner.load_cached(run) if self.use_cache else None
             if cached is not None:
                 result.results[run] = cached
                 report(run, True)
@@ -169,11 +142,7 @@ class SweepEngine:
     def _store(self, run: RunSpec, sim_result: SimResult) -> None:
         """Publish one result immediately (results survive interruption)."""
         if self.use_cache:
-            runner.store_result(
-                run.benchmark, run.config, run.instructions, sim_result,
-                run.salt, run.mode, run.backend, run.chunks, run.chunk_overlap,
-                run.interval,
-            )
+            runner.store_result(run, sim_result)
 
     def _execute(
         self, pending: List[RunSpec], report: _ProgressReporter
@@ -192,10 +161,7 @@ class SweepEngine:
     ) -> List[Tuple[RunSpec, SimResult]]:
         out: List[Tuple[RunSpec, SimResult]] = []
         for run in pending:
-            sim_result = _execute_payload(
-                (run.benchmark, run.config, run.instructions, run.salt, run.mode,
-                 run.backend, run.chunks, run.chunk_overlap, run.interval)
-            )
+            sim_result = runner.execute(run)
             self._store(run, sim_result)
             out.append((run, sim_result))
             report(run, False)
@@ -244,11 +210,6 @@ class SweepEngine:
         ordered = sorted(
             pending, key=lambda run: (run.benchmark, run.instructions, run.salt)
         )
-        payloads: List[_Payload] = [
-            (run.benchmark, run.config, run.instructions, run.salt, run.mode,
-             run.backend, run.chunks, run.chunk_overlap, run.interval)
-            for run in ordered
-        ]
         # Chunks balance trace locality (same-benchmark specs cluster)
         # against load balancing (several chunks per worker).
         workers = min(self.jobs, len(pending))
@@ -256,7 +217,7 @@ class SweepEngine:
         out: List[Tuple[RunSpec, SimResult]] = []
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = pool.map(_execute_payload, payloads, chunksize=chunksize)
+                results = pool.map(runner.execute, ordered, chunksize=chunksize)
                 for index, sim_result in enumerate(results):
                     self._store(ordered[index], sim_result)
                     out.append((ordered[index], sim_result))

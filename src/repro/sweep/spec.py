@@ -1,90 +1,23 @@
 """Declarative run descriptions: what to simulate, not how.
 
-A :class:`RunSpec` names one simulation point — (benchmark, config,
-instructions, salt, mode) — and a :class:`SweepSpec` names a grid of
-them.  Specs carry no execution policy: the same spec resolves against
-the caches, runs serially, or fans out over a process pool depending
-only on the :class:`~repro.sweep.engine.SweepEngine` it is handed to,
-which is what makes every experiment's grid trivially parallelizable.
+A :class:`~repro.sim.runner.RunSpec` names one simulation point and a
+:class:`SweepSpec` names a grid of them.  ``RunSpec`` lives beside the
+cache key in :mod:`repro.sim.runner` and is re-exported here.  Specs
+carry no execution policy: the same spec resolves against the caches,
+runs serially, or fans out over a process pool depending only on the
+:class:`~repro.sweep.engine.SweepEngine` it is handed to, which is what
+makes every experiment's grid trivially parallelizable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
-from repro.sim import runner
 from repro.sim.config import SystemConfig
-from repro.sim.runner import BACKENDS, RUN_MODES
+from repro.sim.runner import RunSpec
 
-
-@dataclass(frozen=True)
-class RunSpec:
-    """One simulation point.
-
-    Attributes:
-        benchmark: application name (see ``repro.workload.profiles``).
-        config: full system configuration.
-        instructions: dynamic instruction count of the trace.
-        salt: trace-generation salt (distinct salts = distinct traces).
-        mode: ``"sim"`` for the full out-of-order simulation or
-            ``"missrate"`` for the functional hit/miss model (Table 4).
-        backend: ``"reference"``, ``"fast"`` (the batched backend), or
-            ``"vector"`` (the numpy kernel tier; miss-rate mode only,
-            sim points run the fast pipeline).  Results are
-            byte-identical — the tiers trade introspectability for
-            speed.
-        chunks: chunk count for chunk-parallel miss-rate replay
-            (``0`` = serial; requires ``mode="missrate"``).
-        chunk_overlap: warmup-overlap positions replayed before each
-            owned chunk region, or ``None`` for the full prefix
-            (exact for any replacement policy).
-        interval: tick period for dynamic policies (accesses in
-            miss-rate mode, cycles in sim mode); ``0`` = no ticks.
-            Incompatible with ``chunks > 0``.
-    """
-
-    benchmark: str
-    config: SystemConfig
-    instructions: int
-    salt: int = 0
-    mode: str = "sim"
-    backend: str = "reference"
-    chunks: int = 0
-    chunk_overlap: Optional[int] = None
-    interval: int = 0
-
-    def __post_init__(self) -> None:
-        if self.mode not in RUN_MODES:
-            raise ValueError(f"unknown run mode {self.mode!r}; valid: {RUN_MODES}")
-        if self.backend not in BACKENDS:
-            raise ValueError(f"unknown backend {self.backend!r}; valid: {BACKENDS}")
-        if self.instructions <= 0:
-            raise ValueError(f"instructions must be positive, got {self.instructions}")
-        runner._validate_chunking(self.mode, self.chunks, self.chunk_overlap)
-        runner._validate_interval(self.interval, self.chunks)
-
-    def key(self) -> str:
-        """The backend cache key this spec resolves to."""
-        return runner.cache_key(
-            self.benchmark, self.config, self.instructions, self.salt, self.mode,
-            self.backend, self.chunks, self.chunk_overlap, self.interval,
-        )
-
-    def describe(self) -> str:
-        """One-line human description."""
-        suffix = "" if self.mode == "sim" else f" ({self.mode})"
-        if self.backend != "reference":
-            suffix += f" [{self.backend}]"
-        if self.chunks > 0:
-            overlap = "full" if self.chunk_overlap is None else self.chunk_overlap
-            suffix += f" [chunks={self.chunks}/overlap={overlap}]"
-        if self.interval > 0:
-            suffix += f" [interval={self.interval}]"
-        return (
-            f"{self.benchmark} x {self.config.describe()} "
-            f"@ {self.instructions}i/s{self.salt}{suffix}"
-        )
+__all__ = ["RunSpec", "SweepSpec"]
 
 
 @dataclass(frozen=True)
@@ -118,16 +51,11 @@ class SweepSpec:
         salts: Sequence[int] = (0,),
         mode: str = "sim",
         backend: str = "reference",
-        chunks: int = 0,
-        chunk_overlap: Optional[int] = None,
         interval: int = 0,
     ) -> "SweepSpec":
         """Cartesian product benchmarks x configs x salts."""
         runs = tuple(
-            RunSpec(
-                benchmark, config, instructions, salt, mode, backend,
-                chunks, chunk_overlap, interval,
-            )
+            RunSpec(benchmark, config, instructions, salt, mode, backend, interval)
             for benchmark in benchmarks
             for config in configs
             for salt in salts

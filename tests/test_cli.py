@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -367,7 +368,7 @@ def test_trace_run_rejects_negative_instructions(trace_file, capsys):
 def test_cache_stats_empty(capsys):
     assert main(["cache", "stats"]) == 0
     out = capsys.readouterr().out
-    assert "results" in out and "artifacts" in out and "chunk reports" in out
+    assert "results" in out and "artifacts" in out and "chunk" not in out
 
 
 def test_cache_lifecycle_stats_gc_clear(trace_file, capsys):
@@ -395,7 +396,7 @@ def test_cache_lifecycle_stats_gc_clear(trace_file, capsys):
     assert main(["cache", "stats", "--json"]) == 0
     stats = json.loads(capsys.readouterr().out)
     assert all(stats[key]["files"] == 0
-               for key in ("results", "chunk_reports", "artifacts"))
+               for key in ("results", "artifacts"))
 
 
 def test_cache_disabled_exits_two(monkeypatch, capsys):
@@ -502,12 +503,6 @@ def test_trace_run_interval_sim_mode(trace_file, capsys):
     assert flat["dynamics_interval"] == 40
 
 
-def test_trace_run_interval_rejects_chunks(trace_file, capsys):
-    assert main(["trace", "run", str(trace_file), "--mode", "missrate",
-                 "--chunks", "2", "--interval", "40"]) == 2
-    assert "incompatible" in capsys.readouterr().err
-
-
 def test_sweep_interval_flag_accepted(capsys):
     """--interval rides the design-space sweep (static grid: inert but
     cache-key-distinct)."""
@@ -516,21 +511,43 @@ def test_sweep_interval_flag_accepted(capsys):
     assert document["interval"] == 64
 
 
-def test_cache_gc_prunes_orphaned_chunk_sidecars(tmp_path, monkeypatch, capsys):
-    """A {key}.chunk.json whose result file is gone is pruned by gc even
-    when younger than the cutoff; paired sidecars survive."""
+def test_cache_gc_ages_out_stale_chunk_sidecars(tmp_path, monkeypatch, capsys):
+    """Chunk-report sidecars left by older caches count as results and
+    age out through gc like any other entry."""
     cache = tmp_path / "cache"
     cache.mkdir()
     monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
-    (cache / "paired.json").write_text("{}")
-    (cache / "paired.chunk.json").write_text("{}")
-    (cache / "orphan.chunk.json").write_text("{}")
+    old, young = cache / "old.chunk.json", cache / "young.chunk.json"
+    for path in (old, young):
+        path.write_text("{}")
+    month_ago = old.stat().st_mtime - 31 * 86400
+    os.utime(old, (month_ago, month_ago))
+    assert main(["cache", "stats", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["files"] == 2
     assert main(["cache", "gc", "--older-than", "30"]) == 0
-    out = capsys.readouterr().out
-    assert "removed 1 entries" in out
-    assert not (cache / "orphan.chunk.json").exists()
-    assert (cache / "paired.chunk.json").exists()
-    assert (cache / "paired.json").exists()
+    assert "removed 1 entries (results: 1, artifacts: 0)" in capsys.readouterr().out
+    assert not old.exists() and young.exists()
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("REPRO_SCALE", "abc"),
+        ("REPRO_SCALE", "nan"),
+        ("REPRO_SCALE", "inf"),
+        ("REPRO_SCALE", "-1"),
+        ("REPRO_SCALE", "0"),
+        ("REPRO_INTERVAL", "abc"),
+        ("REPRO_INTERVAL", "-5"),
+    ],
+)
+def test_main_rejects_bad_env(monkeypatch, capsys, name, value):
+    """A malformed REPRO_* knob is a one-line error naming the variable
+    and exit 2, never a traceback or a silently clamped run."""
+    monkeypatch.setenv(name, value)
+    assert main(["table4"]) == 2
+    err = capsys.readouterr().err
+    assert name in err and "Traceback" not in err
 
 
 def test_repro_interval_env(monkeypatch):

@@ -8,7 +8,9 @@ field (integer counters, access-kind breakdowns, and energy floats
 alike), plus :class:`MissRateResult` equality for the functional path
 across every replacement policy and the warmup-fraction edges — with
 the numpy vector tier held to the same byte-identical contract as a
-third leg of the miss-rate property.
+third leg of the miss-rate property, and degenerate streams (empty,
+one access, no memory ops) giving byte-identical runner results on
+every tier.
 
 Full-sim mode is covered on both pipeline implementations: the fast
 backend runs the batched core/fetch pair (:mod:`repro.fastsim.core`,
@@ -39,9 +41,11 @@ from repro.cpu.stats import CoreStats
 from repro.fastsim import FastCore, FastFetchUnit
 from repro.fastsim.missrate import fast_miss_rate
 from repro.fastsim.vector import vector_miss_rate
+from repro.sim import runner
 from repro.sim.config import CacheLevelConfig, SystemConfig
 from repro.sim.functional import measure_miss_rate
-from repro.sim.simulator import Simulator
+from repro.sim.runner import RunSpec
+from repro.sim.simulator import BACKENDS, Simulator
 from repro.workload.instr import (
     OP_BRANCH,
     OP_CALL,
@@ -140,6 +144,33 @@ def traces(draw) -> Trace:
                                 src2=(pick >> 6) % 8))
             pc += 4
     return Trace("hypothesis", instrs)
+
+
+def mem_trace(name: str, spec) -> Trace:
+    """A trace from ``(op, addr)`` pairs; non-memory ops carry addr=0."""
+    return Trace(name, [Instr(0x1000 + 4 * i, op, addr=addr)
+                        for i, (op, addr) in enumerate(spec)])
+
+
+@st.composite
+def mem_traces(draw) -> Trace:
+    """Short load/store streams over a small block pool: reuse-heavy,
+    so small caches see dense conflict and replacement traffic."""
+    length = draw(st.integers(min_value=1, max_value=120))
+    pool = draw(
+        st.lists(st.integers(min_value=0, max_value=0x3FF), min_size=2, max_size=10)
+    )
+    picks = draw(
+        st.lists(st.integers(min_value=0, max_value=2**20), min_size=length,
+                 max_size=length)
+    )
+    spec = []
+    for pick in picks:
+        op = OP_LOAD if pick % 3 else OP_STORE
+        if pick % 7 == 0:
+            op = OP_INT
+        spec.append((op, (pool[pick % len(pool)] << 5) | (pick % 32)))
+    return mem_trace("prop", spec)
 
 
 def assert_backends_identical(config: SystemConfig, trace: Trace) -> None:
@@ -261,19 +292,22 @@ def test_replacement_policies_identical(replacement, trace):
 # ------------------------------------------------------------------ #
 
 
-@settings(max_examples=20)
+@settings(max_examples=40)
 @given(
-    trace=traces(),
+    trace=st.one_of(traces(), mem_traces()),
     warmup=st.sampled_from([0.0, 0.2, 0.5, 0.95, 0.999]),
     assoc=st.sampled_from([1, 2, 4]),
     replacement=st.sampled_from(["lru", "fifo", "random", "plru"]),
+    eight_sets=st.booleans(),
 )
-def test_miss_rate_identical(trace, warmup, assoc, replacement):
+def test_miss_rate_identical(trace, warmup, assoc, replacement, eight_sets):
     """fast_miss_rate == vector_miss_rate == measure_miss_rate at
-    every warmup fraction, including the 0.0 and near-1.0 edges.
-    (Without numpy the vector tier transparently replays the python
-    kernels, so this property holds on every install.)"""
-    geometry = CacheGeometry(1024, assoc, 32)
+    every warmup fraction, including the 0.0 and near-1.0 edges, on
+    the 1K cache and on a conflict-heavy 8-set one.  (Without numpy the
+    vector tier transparently replays the python kernels, so this
+    property holds on every install.)"""
+    size = assoc * 8 * 32 if eight_sets else 1024
+    geometry = CacheGeometry(size, assoc, 32)
     reference = measure_miss_rate(trace, geometry, replacement, warmup)
     fast = fast_miss_rate(trace, geometry, replacement, warmup)
     vector = vector_miss_rate(trace, geometry, replacement, warmup)
@@ -305,3 +339,51 @@ def test_miss_rate_rejects_unknown_replacement(assoc):
         fast_miss_rate(trace, geometry, replacement="bogus")
     with pytest.raises(ValueError, match="unknown replacement"):
         vector_miss_rate(trace, geometry, replacement="bogus")
+
+
+# ------------------------------------------------------------------ #
+# Degenerate traces: zero measured accesses -> miss_rate 0.0 everywhere
+# ------------------------------------------------------------------ #
+
+
+DEGENERATES = {
+    "no-mem-ops": [(OP_INT, 0)] * 12,
+    "single-access": [(OP_INT, 0)] * 5 + [(OP_LOAD, 64)],
+    "single-store": [(OP_STORE, 64)],
+    "empty-trace": [],
+}
+
+
+@pytest.fixture
+def no_cache(monkeypatch):
+    monkeypatch.setenv("REPRO_DISK_CACHE", "0")
+    runner.clear_caches()
+    yield
+    runner.clear_caches()
+
+
+class TestDegenerateTraces:
+    @pytest.mark.parametrize("name", sorted(DEGENERATES))
+    def test_all_tiers_byte_agree(self, name, no_cache):
+        """Empty/one-access streams: identical results on every tier."""
+        trace = mem_trace(name, DEGENERATES[name])
+        flats = []
+        for backend in BACKENDS:
+            runner.clear_caches()
+            runner._TRACE_CACHE[(name, 1000, 0)] = trace
+            run = RunSpec(name, SystemConfig(), 1000, mode="missrate", backend=backend)
+            flats.append(runner.execute(run).to_flat())
+        assert flats[0] == flats[1] == flats[2]
+
+    def test_single_access_is_all_warmup_free(self, no_cache):
+        """One mem op: warmup = int(1*0.2) = 0, so it IS measured."""
+        runner._TRACE_CACHE[("one", 10, 0)] = mem_trace("one", [(OP_LOAD, 64)])
+        result = runner.execute(RunSpec("one", SystemConfig(), 10, mode="missrate"))
+        assert result.dcache.accesses == 1
+        assert result.dcache.misses == 1  # cold miss
+
+    def test_no_mem_ops_miss_rate_zero(self, no_cache):
+        runner._TRACE_CACHE[("none", 10, 0)] = mem_trace("none", [(OP_INT, 0)] * 8)
+        result = runner.execute(RunSpec("none", SystemConfig(), 10, mode="missrate"))
+        assert result.dcache.accesses == 0
+        assert result.dcache.miss_rate == 0.0

@@ -21,7 +21,6 @@ from repro.cache.geometry import CacheGeometry
 from repro.core.dynamic import DriResizePolicy, LevelPredictorPolicy
 from repro.core.interval import (
     IntervalStats,
-    ReconfigureAction,
     is_dynamic_policy,
     validate_reconfigure,
 )
@@ -224,13 +223,13 @@ class TestCacheKeyV8:
         assert runner._interval_token(512) == "interval=512"
 
     def test_interval_changes_the_key(self):
-        static = runner.cache_key("gcc", self.CONFIG, 1000)
-        ticked = runner.cache_key("gcc", self.CONFIG, 1000, interval=512)
+        static = runner.cache_key(RunSpec("gcc", self.CONFIG, 1000))
+        ticked = runner.cache_key(RunSpec("gcc", self.CONFIG, 1000, interval=512))
         assert static != ticked
 
     def test_interval_values_never_collide(self):
         keys = {
-            runner.cache_key("gcc", self.CONFIG, 1000, interval=n)
+            runner.cache_key(RunSpec("gcc", self.CONFIG, 1000, interval=n))
             for n in (0, 1, 512, 513)
         }
         assert len(keys) == 4
@@ -238,9 +237,9 @@ class TestCacheKeyV8:
     def test_dynamic_params_change_the_key(self):
         base = self.CONFIG.with_dcache_policy("dri")
         tuned = self.CONFIG.with_dcache_policy("dri", miss_hi=0.1)
-        assert runner.cache_key("gcc", base, 1000, interval=256) != runner.cache_key(
+        assert RunSpec("gcc", base, 1000, interval=256).key() != RunSpec(
             "gcc", tuned, 1000, interval=256
-        )
+        ).key()
 
     def test_interval_replays_from_cache_and_reexecutes_on_change(self, monkeypatch, tmp_path):
         """Same spec resolves from the disk cache; changing the interval
@@ -252,12 +251,12 @@ class TestCacheKeyV8:
             l2=CacheLevelConfig(4, 4, 32, 6),
         ).with_dcache_policy("dri", miss_hi=0.2, miss_lo=0.05, min_kb=1, max_kb=4)
         first = runner.run_benchmark("gcc", config, 3000, mode="missrate", interval=64)
-        cached = runner.load_cached("gcc", config, 3000, mode="missrate", interval=64)
+        cached = runner.load_cached(RunSpec("gcc", config, 3000, mode="missrate", interval=64))
         assert cached is not None
         assert json.dumps(cached.to_flat(), sort_keys=True) == json.dumps(
             first.to_flat(), sort_keys=True
         )
-        assert runner.load_cached("gcc", config, 3000, mode="missrate", interval=65) is None
+        assert runner.load_cached(RunSpec("gcc", config, 3000, mode="missrate", interval=65)) is None
 
 
 # ------------------------------------------------------------------ #
@@ -308,11 +307,6 @@ class TestIntervalValidation:
     def test_runspec_rejects_negative_interval(self):
         with pytest.raises(ValueError, match="interval"):
             RunSpec("gcc", SystemConfig(), 1000, interval=-1)
-
-    def test_runspec_rejects_interval_with_chunks(self):
-        with pytest.raises(ValueError, match="incompatible"):
-            RunSpec("gcc", SystemConfig(), 1000, mode="missrate",
-                    chunks=2, interval=64)
 
     def test_describe_names_the_interval(self):
         spec = RunSpec("gcc", SystemConfig(), 1000, interval=128)

@@ -20,6 +20,7 @@ from repro.fastsim import FastBackendUnsupported, FastDCacheEngine, fast_dcache_
 from repro.fastsim.kernels import make_dcache_kernel
 from repro.fastsim.missrate import fast_miss_rate
 from repro.sim import runner
+from repro.sim.runner import RunSpec
 from repro.sim.config import CacheLevelConfig, SystemConfig
 from repro.sim.functional import measure_miss_rate
 from repro.sim.simulator import Simulator
@@ -120,7 +121,7 @@ def test_simulator_rejects_unknown_backend():
     with pytest.raises(ValueError, match="unknown backend"):
         Simulator(SystemConfig(), backend="warp")
     with pytest.raises(ValueError, match="unknown backend"):
-        runner.execute("gcc", SystemConfig(), 2_000, backend="warp")
+        runner.execute(RunSpec("gcc", SystemConfig(), 2_000, backend="warp"))
 
 
 def test_fast_backend_uses_fast_engines():
@@ -177,15 +178,15 @@ def test_fast_miss_rate_accepts_encoded_trace():
 
 def test_runner_missrate_backends_agree():
     config = SystemConfig().with_dcache(associativity=4)
-    reference = runner.execute("gcc", config, 6_000, mode="missrate")
-    fast = runner.execute("gcc", config, 6_000, mode="missrate", backend="fast")
+    reference = runner.execute(RunSpec("gcc", config, 6_000, mode="missrate"))
+    fast = runner.execute(RunSpec("gcc", config, 6_000, mode="missrate", backend="fast"))
     assert reference.to_flat() == fast.to_flat()
 
 
 def test_cache_keys_never_collide_across_backends():
     config = SystemConfig()
     keys = {
-        runner.cache_key("gcc", config, 1_000, mode=mode, backend=backend)
+        runner.cache_key(RunSpec("gcc", config, 1_000, mode=mode, backend=backend))
         for mode in runner.RUN_MODES
         for backend in runner.BACKENDS
     }
@@ -224,8 +225,8 @@ def test_run_benchmark_caches_per_backend(tmp_path, monkeypatch):
     config = SMALL
     fast = runner.run_benchmark("gcc", config, 2_000, backend="fast")
     # The fast result must not satisfy a reference lookup (distinct keys).
-    assert runner.load_cached("gcc", config, 2_000, backend="fast") is not None
-    assert runner.load_cached("gcc", config, 2_000) is None
+    assert runner.load_cached(RunSpec("gcc", config, 2_000, backend="fast")) is not None
+    assert runner.load_cached(RunSpec("gcc", config, 2_000)) is None
     reference = runner.run_benchmark("gcc", config, 2_000)
     assert reference.to_flat() == fast.to_flat()
     runner.clear_caches()

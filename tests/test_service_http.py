@@ -312,6 +312,22 @@ class TestResume:
             assert final["state"] == "done"
             assert client.report_text(job_id)
 
+    def test_journaled_chunk_fields_fail_the_job(self, tmp_path, isolated_cache):
+        """A sweep journaled before the chunk fields were dropped from the
+        protocol fails on resume with a 'failed' event naming them, not a
+        worker traceback."""
+        journal = JobQueue(tmp_path / "jobs.sqlite")
+        request = dict(SMALL_SWEEP, chunks=0, chunk_overlap=None)
+        record, _ = journal.submit("c" * 64, "sweep", request)
+        journal.close()
+        with ServiceThread(service_config(tmp_path)) as handle:
+            final = ServiceClient(port=handle.port).wait(record.id, timeout=30)
+            events = handle.service._journals[record.id]
+        assert final["state"] == "failed"
+        assert "unknown field(s) ['chunk_overlap', 'chunks']" in final["error"]
+        assert [event["event"] for event in events] == ["failed"]
+        assert events[0]["error"] == final["error"]
+
     def test_completed_runs_resolve_from_cache_after_resume(
         self, tmp_path, isolated_cache
     ):

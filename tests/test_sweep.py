@@ -216,7 +216,7 @@ class TestFailureSemantics:
         bad = RunSpec("gcc", SystemConfig(replacement="bogus"), INSTRUCTIONS)
         with pytest.raises(ValueError):
             SweepEngine(jobs=1).run(SweepSpec("partial", (good, bad)))
-        assert runner.load_cached("gcc", SystemConfig(), INSTRUCTIONS) is not None
+        assert runner.load_cached(RunSpec("gcc", SystemConfig(), INSTRUCTIONS)) is not None
         stats = SweepEngine(jobs=1).run(SweepSpec("retry", (good,))).stats
         assert stats.cache_hits == 1
         assert stats.executed == 0
@@ -243,7 +243,7 @@ class TestMissrateMode:
 
     def test_unknown_mode_rejected_by_backend(self):
         with pytest.raises(ValueError, match="unknown run mode"):
-            runner.execute("gcc", SystemConfig(), 1000, mode="bogus")
+            runner.execute(RunSpec("gcc", SystemConfig(), 1000, mode="bogus"))
 
 
 class TestSweepResult:
@@ -317,7 +317,7 @@ class TestJsonExport:
 
 class TestSchemaVersionedCache:
     def test_key_embeds_schema_version(self):
-        key_now = runner.cache_key("gcc", SystemConfig(), 1000)
+        key_now = runner.cache_key(RunSpec("gcc", SystemConfig(), 1000))
         assert key_now == RunSpec("gcc", SystemConfig(), 1000).key()
         # v1-era key (no mode, no schema hash) must not collide.
         import hashlib
@@ -330,19 +330,19 @@ class TestSchemaVersionedCache:
     def test_stale_schema_entry_ignored(self, isolated_cache):
         """A cache file whose fields don't match SimResult is a miss, not
         a crash."""
-        key = runner.cache_key("gcc", SystemConfig(), INSTRUCTIONS)
+        key = runner.cache_key(RunSpec("gcc", SystemConfig(), INSTRUCTIONS))
         stale = isolated_cache / f"{key}.json"
         stale.write_text(json.dumps({"benchmark": "gcc", "bogus_field": 1}))
-        assert runner.load_cached("gcc", SystemConfig(), INSTRUCTIONS) is None
+        assert runner.load_cached(RunSpec("gcc", SystemConfig(), INSTRUCTIONS)) is None
         result = runner.run_benchmark("gcc", SystemConfig(), INSTRUCTIONS)
         assert result.cycles > 0  # re-simulated and re-stored
         runner.clear_caches()
-        assert runner.load_cached("gcc", SystemConfig(), INSTRUCTIONS) is not None
+        assert runner.load_cached(RunSpec("gcc", SystemConfig(), INSTRUCTIONS)) is not None
 
     def test_corrupt_entry_ignored(self, isolated_cache):
-        key = runner.cache_key("gcc", SystemConfig(), INSTRUCTIONS)
+        key = runner.cache_key(RunSpec("gcc", SystemConfig(), INSTRUCTIONS))
         (isolated_cache / f"{key}.json").write_text("{not json")
-        assert runner.load_cached("gcc", SystemConfig(), INSTRUCTIONS) is None
+        assert runner.load_cached(RunSpec("gcc", SystemConfig(), INSTRUCTIONS)) is None
 
     def test_schema_version_tracks_fields(self):
         import hashlib

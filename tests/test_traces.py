@@ -21,6 +21,7 @@ import pytest
 from repro.api import Machine
 from repro.fastsim.missrate import fast_miss_rate
 from repro.sim import runner
+from repro.sim.runner import RunSpec
 from repro.sim.config import SystemConfig
 from repro.sim.functional import measure_miss_rate
 from repro.sim.simulator import Simulator
@@ -632,8 +633,8 @@ class TestRunnerIntegration:
     def test_missrate_modes_agree(self, tmp_path):
         ref = self._ref(tmp_path, n=600)
         config = SystemConfig()
-        reference = runner.execute(ref, config, 0, mode="missrate")
-        fast = runner.execute(ref, config, 0, mode="missrate", backend="fast")
+        reference = runner.execute(RunSpec(ref, config, 0, mode="missrate"))
+        fast = runner.execute(RunSpec(ref, config, 0, mode="missrate", backend="fast"))
         assert reference.to_flat() == fast.to_flat()
         assert reference.core.instructions == 600
         assert reference.benchmark == "gcc"  # file stem, not the ref
@@ -679,9 +680,9 @@ class TestRunnerIntegration:
 
     def test_cache_key_raises_for_missing_trace(self, tmp_path):
         with pytest.raises(ValueError, match="not found"):
-            runner.cache_key(
+            runner.cache_key(RunSpec(
                 make_trace_ref(tmp_path / "gone.din"), SystemConfig(), 100
-            )
+            ))
 
 
 class TestMachineFileTraces:

@@ -35,6 +35,7 @@ from repro.fastsim.vector import (
     vector_miss_rate,
 )
 from repro.sim import runner
+from repro.sim.runner import RunSpec
 from repro.sim.config import SystemConfig
 from repro.sim.functional import measure_miss_rate
 from repro.sim.simulator import BACKENDS, Simulator
@@ -278,16 +279,16 @@ class TestRunnerIntegration:
     CONFIG = SystemConfig().with_dcache(associativity=4)
 
     def test_missrate_execute_identical_and_serializable(self):
-        reference = runner.execute("gcc", self.CONFIG, 6_000, mode="missrate")
-        vector = runner.execute("gcc", self.CONFIG, 6_000, mode="missrate",
-                                backend="vector")
+        reference = runner.execute(RunSpec("gcc", self.CONFIG, 6_000, mode="missrate"))
+        vector = runner.execute(RunSpec("gcc", self.CONFIG, 6_000, mode="missrate",
+                                        backend="vector"))
         assert reference.to_flat() == vector.to_flat()
         json.dumps(vector.to_flat())  # plain types end to end
 
     def test_sim_execute_runs_the_fast_pipeline(self):
-        reference = runner.execute("gcc", self.CONFIG, 2_000, mode="sim")
-        vector = runner.execute("gcc", self.CONFIG, 2_000, mode="sim",
-                                backend="vector")
+        reference = runner.execute(RunSpec("gcc", self.CONFIG, 2_000, mode="sim"))
+        vector = runner.execute(RunSpec("gcc", self.CONFIG, 2_000, mode="sim",
+                                        backend="vector"))
         assert reference.to_flat() == vector.to_flat()
 
     def test_simulator_builds_fast_engines_for_vector(self):
@@ -299,22 +300,22 @@ class TestRunnerIntegration:
 
     def test_cache_key_tracks_the_resolved_tier(self, monkeypatch):
         args = ("gcc", self.CONFIG, 6_000)
-        resolved = runner.cache_key(*args, mode="missrate", backend="fast")
-        sim_key = runner.cache_key(*args, mode="sim", backend="fast")
+        resolved = runner.cache_key(RunSpec(*args, mode="missrate", backend="fast"))
+        sim_key = runner.cache_key(RunSpec(*args, mode="sim", backend="fast"))
         monkeypatch.setenv(NO_VECTOR_ENV, "1")
-        pinned = runner.cache_key(*args, mode="missrate", backend="fast")
+        pinned = runner.cache_key(RunSpec(*args, mode="missrate", backend="fast"))
         if numpy_available():
             # Same request, different resolved tier: distinct entries.
             assert pinned != resolved
         else:
             assert pinned == resolved
         # Sim mode never resolves to the vector kernels: env-invariant.
-        assert sim_key == runner.cache_key(*args, mode="sim", backend="fast")
+        assert sim_key == runner.cache_key(RunSpec(*args, mode="sim", backend="fast"))
 
     def test_backend_tiers_share_no_cache_entries(self):
         keys = {
-            runner.cache_key("gcc", self.CONFIG, 1_000, mode="missrate",
-                             backend=backend)
+            runner.cache_key(RunSpec("gcc", self.CONFIG, 1_000, mode="missrate",
+                                     backend=backend))
             for backend in BACKENDS
         }
         assert len(keys) == len(BACKENDS)
