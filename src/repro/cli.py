@@ -144,10 +144,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(experiment_id)
         return 0
 
-    jobs = args.jobs if args.jobs is not None else default_jobs()
     try:
+        jobs = args.jobs if args.jobs is not None else default_jobs()
         engine = SweepEngine(jobs=jobs)
-    except ValueError as error:
+    except ValueError as error:  # --jobs 0 or a bad $REPRO_JOBS
         print(error, file=sys.stderr)
         return 2
     try:
@@ -554,7 +554,11 @@ def serve_main(argv: List[str]) -> int:
                              "SEC seconds from the journal (default: keep all)")
     args = parser.parse_args(argv)
 
-    engine_jobs = args.jobs if args.jobs is not None else default_jobs()
+    try:
+        engine_jobs = args.jobs if args.jobs is not None else default_jobs()
+    except ValueError as error:  # bad $REPRO_JOBS
+        print(error, file=sys.stderr)
+        return 2
     if engine_jobs < 1:
         print(f"--jobs must be >= 1, got {engine_jobs}", file=sys.stderr)
         return 2
@@ -785,10 +789,10 @@ def sweep_main(argv: List[str]) -> int:
         print("empty grid: nothing to sweep", file=sys.stderr)
         return 2
 
-    jobs = args.jobs if args.jobs is not None else default_jobs()
     try:
+        jobs = args.jobs if args.jobs is not None else default_jobs()
         engine = SweepEngine(jobs=jobs)
-    except ValueError as error:
+    except ValueError as error:  # --jobs 0 or a bad $REPRO_JOBS
         print(error, file=sys.stderr)
         return 2
     try:

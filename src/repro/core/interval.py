@@ -17,6 +17,13 @@ the contract that makes registered policies phase-aware:
 * :class:`ReconfigureAction` — what a tick may request: a new
   :class:`~repro.cache.geometry.CacheGeometry` (flush-and-resize)
   and/or an L1-bypass toggle.
+* :class:`IntervalTicker` — the one tick protocol every tier shares.
+  A replay loop hands it cumulative counters at each boundary; the
+  ticker builds the window's :class:`IntervalStats` from the deltas,
+  calls ``on_interval``, validates the action, counts what took
+  effect, and returns only that part for the loop to apply.  The
+  reference and fast miss-rate replays, the vector tier's speculative
+  walk, and the simulator's cycle ticks all drive this one class.
 
 Reconfigure semantics (the documented flush policy):
 
@@ -52,9 +59,10 @@ from repro.cache.geometry import CacheGeometry
 
 __all__ = [
     "IntervalStats",
+    "IntervalTicker",
     "ReconfigureAction",
-    "action_is_effective",
     "is_dynamic_policy",
+    "ticker_for",
     "validate_reconfigure",
 ]
 
@@ -158,21 +166,93 @@ def validate_reconfigure(current: CacheGeometry, new: CacheGeometry) -> None:
         )
 
 
-def action_is_effective(
-    action: Optional[ReconfigureAction],
-    geometry: CacheGeometry,
-    bypassed: bool,
-) -> bool:
-    """Whether ``action`` would actually change cache state.
+class IntervalTicker:
+    """Delivers ticks to one dynamic policy and tracks what they change.
 
-    A ``None`` action, or one whose fields match the current state, is
-    a no-op — the vector tier uses this to keep its speculative replay
-    when a dynamic policy ticks without ever reconfiguring.
+    The replay loop owns the counters and the cache; the ticker owns the
+    policy, the cache's current shape and bypass state as the policy
+    sees them, and the dynamics counters a result reports.
+
+    Attributes:
+        policy: the dynamic policy being ticked.
+        interval: the tick period (accesses or cycles).
+        geometry: the cache's current shape.
+        bypassed: whether L1 bypass is currently engaged.
+        ticks / reconfigurations / bypass_toggles: what the run did.
     """
-    if action is None:
-        return False
-    if action.geometry is not None and action.geometry != geometry:
-        return True
-    if action.bypass is not None and action.bypass != bypassed:
-        return True
-    return False
+
+    def __init__(self, policy, interval: int, geometry: CacheGeometry) -> None:
+        self.policy = policy
+        self.interval = interval
+        self.geometry = geometry
+        self.bypassed = False
+        self.ticks = 0
+        self.reconfigurations = 0
+        self.bypass_toggles = 0
+        self._previous = (0, 0, 0, 0, 0.0)
+
+    def tick(
+        self,
+        position: int,
+        accesses: int,
+        loads: int,
+        misses: int,
+        way_mispredicts: int = 0,
+        energy: float = 0.0,
+    ) -> Optional[ReconfigureAction]:
+        """Deliver the window ending at ``position``; return its effect.
+
+        The counters are cumulative since the start of the run; the
+        window is their delta since the previous tick.  Returns the
+        part of the policy's action that changes state — a geometry
+        that differs from the current one (already validated) and/or a
+        bypass flip — or ``None`` when the tick changes nothing.
+        """
+        (prev_accesses, prev_loads, prev_misses,
+         prev_mispredicts, prev_energy) = self._previous
+        window_accesses = accesses - prev_accesses
+        window_loads = loads - prev_loads
+        action = self.policy.on_interval(IntervalStats(
+            index=self.ticks,
+            position=position,
+            interval=self.interval,
+            accesses=window_accesses,
+            loads=window_loads,
+            stores=window_accesses - window_loads,
+            misses=misses - prev_misses,
+            way_mispredicts=way_mispredicts - prev_mispredicts,
+            energy_delta=energy - prev_energy,
+            total_accesses=accesses,
+            total_misses=misses,
+            geometry=self.geometry,
+            bypassed=self.bypassed,
+        ))
+        self.ticks += 1
+        self._previous = (accesses, loads, misses, way_mispredicts, energy)
+        if action is None:
+            return None
+        geometry = bypass = None
+        if action.geometry is not None and action.geometry != self.geometry:
+            validate_reconfigure(self.geometry, action.geometry)
+            geometry = self.geometry = action.geometry
+            self.reconfigurations += 1
+        if action.bypass is not None and action.bypass != self.bypassed:
+            bypass = self.bypassed = action.bypass
+            self.bypass_toggles += 1
+        if geometry is None and bypass is None:
+            return None
+        return ReconfigureAction(geometry=geometry, bypass=bypass)
+
+
+def ticker_for(
+    interval: int, policy_factory, geometry: CacheGeometry
+) -> Optional[IntervalTicker]:
+    """A ticker for one miss-rate replay, or ``None`` for a static run.
+
+    A replay ticks if and only if ``interval > 0`` and it was given a
+    policy factory; the caller (the runner) passes a factory only for
+    dynamic policy kinds.  The policy is built here, once per replay.
+    """
+    if interval <= 0 or policy_factory is None:
+        return None
+    return IntervalTicker(policy_factory(), interval, geometry)

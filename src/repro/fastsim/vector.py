@@ -40,6 +40,11 @@ case where numpy is not importable — is silent and lossless because
 every tier is byte-identical by contract (enforced by the differential
 and golden suites).
 
+Interval runs take the same single entry point: the tick walk runs
+inline over prefix sums of the static hit mask, speculating that no
+tick changes state, and hands the run to the fast tier the first time
+one does (see :func:`vector_miss_rate`).
+
 The sort trick used throughout: set-major order with time order
 preserved inside each set comes from one ``np.sort`` over the packed
 key ``(set_index << 32) | position`` — several times faster than a
@@ -57,9 +62,9 @@ from typing import Tuple, Union
 
 from repro.cache.geometry import CacheGeometry
 from repro.cache.replacement import make_replacement
-from repro.core.interval import IntervalStats, action_is_effective, is_dynamic_policy
+from repro.core.interval import ticker_for
 from repro.fastsim.missrate import fast_miss_rate
-from repro.sim.functional import MissRateResult
+from repro.sim.functional import MissRateResult, check_replay_args
 from repro.workload.encode import EncodedTrace, encode_trace
 from repro.workload.trace import Trace
 
@@ -131,126 +136,47 @@ def vector_miss_rate(
     Falls back to :func:`~repro.fastsim.missrate.fast_miss_rate` — per
     policy, per stream shape, or wholesale when the tier is disabled —
     whenever no vector kernel applies; results are identical either way.
-    Dynamic runs (``interval > 0`` with a dynamic ``policy_factory``)
-    replay speculatively (:func:`_vector_dynamic`) and drop to the fast
-    tier the moment a tick actually reconfigures.
+
+    Ticking runs (``interval > 0`` with a ``policy_factory``) replay
+    speculatively.  The kernels classify the whole stream against a
+    *fixed* geometry, so they cannot follow a mid-run reconfiguration.
+    But until the first tick that changes state, the dynamic run *is*
+    the static replay, and each window's counters are prefix sums of
+    the static hit mask.  So the ticks walk those prefix sums, and the
+    moment one takes effect the run falls back to the fast tier, which
+    reruns from the start with a fresh policy — every tick before the
+    divergence replays identically, so the fallback is lossless.
     """
-    if not 0.0 <= warmup_fraction < 1.0:
-        raise ValueError(f"warmup_fraction must be in [0, 1), got {warmup_fraction}")
-    if interval < 0:
-        raise ValueError(f"interval must be >= 0, got {interval}")
+    check_replay_args(warmup_fraction, interval)
     encoded = trace if isinstance(trace, EncodedTrace) else encode_trace(trace)
-    warmup = int(len(encoded) * warmup_fraction)
-    if interval > 0 and policy_factory is not None:
-        if is_dynamic_policy(policy_factory()):
-            return _vector_dynamic(
-                encoded, geometry, replacement, warmup_fraction,
-                interval, policy_factory,
-            )
     hits = _vector_hits(encoded, geometry, replacement)
-    if hits is None:
-        return fast_miss_rate(encoded, geometry, replacement, warmup_fraction)
-    accesses, misses, load_accesses, load_misses = _tally(
-        hits, encoded.is_load_np(), warmup
-    )
-    return MissRateResult(
-        accesses=accesses,
-        misses=misses,
-        load_accesses=load_accesses,
-        load_misses=load_misses,
-    )
-
-
-def _vector_dynamic(
-    encoded: EncodedTrace,
-    geometry: CacheGeometry,
-    replacement: str,
-    warmup_fraction: float,
-    interval: int,
-    policy_factory,
-) -> MissRateResult:
-    """Speculative vectorized interval replay with lossless fallback.
-
-    The vector kernels are offline — they classify the whole stream
-    against a *fixed* geometry — so they cannot follow a mid-run
-    reconfiguration.  But a dynamic run where no tick ever changes
-    anything is bit-for-bit the static replay, and whether any tick
-    *does* change anything is decidable from the static replay itself:
-    per-window statistics are segment sums over the full-stream hit
-    mask, and until the first effective action the dynamic policy sees
-    exactly those statistics.  So: classify once, walk the ticks over
-    mask segments, and the moment an action would actually change
-    state (:func:`~repro.core.interval.action_is_effective`), abandon
-    speculation and rerun on the python fast tier with a *fresh*
-    policy — every tick before the divergence replays identically, so
-    the fallback is lossless.
-    """
-    hits = _vector_hits(encoded, geometry, replacement)
+    ticker = None
+    if hits is not None:
+        is_load = encoded.is_load_np()
+        ticker = ticker_for(interval, policy_factory, geometry)
+    if ticker is not None:
+        stops = np.arange(interval, hits.shape[0], interval, dtype=np.int64)
+        loads = np.cumsum(is_load, dtype=np.int64)[stops - 1].tolist()
+        misses = np.cumsum(~hits, dtype=np.int64)[stops - 1].tolist()
+        for position, total_loads, total_misses in zip(stops.tolist(), loads, misses):
+            if ticker.tick(position, position, total_loads, total_misses) is not None:
+                hits = None
+                break
     if hits is None:
         return fast_miss_rate(
             encoded, geometry, replacement, warmup_fraction,
             interval=interval, policy_factory=policy_factory,
         )
-    n = int(hits.shape[0])
-    is_load = encoded.is_load_np()
-    policy = policy_factory()
-    ticks = 0
-    total_accesses = total_misses = 0
-    seg_start = 0
-    while seg_start + interval < n:
-        seg_end = seg_start + interval
-        seg_hits = hits[seg_start:seg_end]
-        seg_len = seg_end - seg_start
-        window_misses = seg_len - int(np.count_nonzero(seg_hits))
-        window_loads = int(np.count_nonzero(is_load[seg_start:seg_end]))
-        total_accesses += seg_len
-        total_misses += window_misses
-        stats = IntervalStats(
-            index=ticks,
-            position=seg_end,
-            interval=interval,
-            accesses=seg_len,
-            loads=window_loads,
-            stores=seg_len - window_loads,
-            misses=window_misses,
-            way_mispredicts=0,
-            energy_delta=0.0,
-            total_accesses=total_accesses,
-            total_misses=total_misses,
-            geometry=geometry,
-            bypassed=False,
-        )
-        action = policy.on_interval(stats)
-        ticks += 1
-        if action_is_effective(action, geometry, False):
-            return fast_miss_rate(
-                encoded, geometry, replacement, warmup_fraction,
-                interval=interval, policy_factory=policy_factory,
-            )
-        seg_start = seg_end
-    warmup = int(n * warmup_fraction)
-    accesses, misses, load_accesses, load_misses = _tally(hits, is_load, warmup)
-    return MissRateResult(
-        accesses=accesses,
-        misses=misses,
-        load_accesses=load_accesses,
-        load_misses=load_misses,
-        ticks=ticks,
-        reconfigurations=0,
-        bypass_toggles=0,
-        bypassed_accesses=0,
-        final_size_bytes=geometry.size_bytes,
-    )
+    warmup = int(hits.shape[0] * warmup_fraction)
+    return MissRateResult.of(_tally(hits, is_load, warmup), ticker)
 
 
 def _vector_hits(encoded: EncodedTrace, geometry: CacheGeometry, replacement: str):
     """Per-position hit mask over the whole stream, or ``None``.
 
-    The classification core shared by static counting
-    (:func:`vector_miss_rate` folds the mask with :func:`_tally`) and by
-    the speculative dynamic replay (which sums mask *segments* per tick
-    window).  ``None`` means no vector kernel applies and the python
-    tier must run.
+    :func:`vector_miss_rate` folds the mask with :func:`_tally` and,
+    when ticking, walks its prefix sums.  ``None`` means no vector
+    kernel applies and the python tier must run.
     """
     if not vector_enabled():
         return None

@@ -10,21 +10,22 @@ magnitude faster than the full simulator.
 This is the *reference* implementation of the functional path;
 :func:`repro.fastsim.missrate.fast_miss_rate` is its batched equivalent
 (``backend="fast"``), proven byte-identical by the differential suite.
+One loop serves static and interval runs alike: a static run is the
+case with no :class:`~repro.core.interval.IntervalTicker`, so its
+boundary check never fires.  Counters run over every position, warmup
+included (the ticker's cumulative view); the result subtracts the
+snapshot taken at the warmup point.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 from repro.cache.geometry import CacheGeometry
 from repro.cache.sram import SetAssociativeCache
-from repro.core.interval import (
-    IntervalStats,
-    is_dynamic_policy,
-    validate_reconfigure,
-)
+from repro.core.interval import IntervalTicker, ticker_for
 from repro.workload.instr import OP_LOAD, OP_STORE
 from repro.workload.trace import Trace
 
@@ -78,6 +79,26 @@ class MissRateResult:
     bypassed_accesses: int = 0
     final_size_bytes: int = 0
 
+    @classmethod
+    def of(
+        cls,
+        counts: Tuple[int, int, int, int],
+        ticker: Optional[IntervalTicker] = None,
+        bypassed_accesses: int = 0,
+    ) -> "MissRateResult":
+        """Package ``(accesses, misses, load_accesses, load_misses)``,
+        with the dynamics counters of ``ticker`` when the run ticked."""
+        if ticker is None:
+            return cls(*counts)
+        return cls(
+            *counts,
+            ticks=ticker.ticks,
+            reconfigurations=ticker.reconfigurations,
+            bypass_toggles=ticker.bypass_toggles,
+            bypassed_accesses=bypassed_accesses,
+            final_size_bytes=ticker.geometry.size_bytes,
+        )
+
     @property
     def miss_rate(self) -> float:
         """Overall miss ratio in [0, 1]."""
@@ -87,6 +108,14 @@ class MissRateResult:
     def load_miss_rate(self) -> float:
         """Load-only miss ratio in [0, 1]."""
         return self.load_misses / self.load_accesses if self.load_accesses else 0.0
+
+
+def check_replay_args(warmup_fraction: float, interval: int) -> None:
+    """Reject the arguments every miss-rate tier rejects, identically."""
+    if not 0.0 <= warmup_fraction < 1.0:
+        raise ValueError(f"warmup_fraction must be in [0, 1), got {warmup_fraction}")
+    if interval < 0:
+        raise ValueError(f"interval must be >= 0, got {interval}")
 
 
 def measure_miss_rate(
@@ -105,146 +134,61 @@ def measure_miss_rate(
             warm the cache before counting (the paper's billions of
             instructions make cold-start effects negligible; ours would
             not be without a warmup window).
-        interval: tick period in memory accesses; with a dynamic
+        interval: tick period in memory accesses.  With a
             ``policy_factory`` the run delivers
             :class:`~repro.core.interval.IntervalStats` every
             ``interval`` accesses and applies any returned
             reconfiguration.  0 disables ticking.
-        policy_factory: zero-argument callable building a fresh policy
-            instance (each tier builds its own so speculative tiers can
-            restart cleanly).  Ignored unless the built policy is
-            dynamic (:func:`~repro.core.interval.is_dynamic_policy`).
-    """
-    if not 0.0 <= warmup_fraction < 1.0:
-        raise ValueError(f"warmup_fraction must be in [0, 1), got {warmup_fraction}")
-    if interval < 0:
-        raise ValueError(f"interval must be >= 0, got {interval}")
-    addrs, loads = trace_mem_ops(trace)
-    warmup = int(len(addrs) * warmup_fraction)
-    if interval > 0 and policy_factory is not None:
-        policy = policy_factory()
-        if is_dynamic_policy(policy):
-            return _measure_dynamic(
-                trace, geometry, replacement, warmup, interval, policy
-            )
-    cache = SetAssociativeCache(geometry, replacement=replacement)
-    accesses = misses = load_accesses = load_misses = 0
-    for position in range(len(addrs)):
-        addr = addrs[position]
-        way = cache.probe(addr)
-        hit = way is not None
-        if hit:
-            cache.touch(addr, way)
-        else:
-            cache.fill(addr)
-        if position < warmup:
-            continue
-        accesses += 1
-        is_load = loads[position]
-        if is_load:
-            load_accesses += 1
-        if not hit:
-            misses += 1
-            if is_load:
-                load_misses += 1
-    return MissRateResult(
-        accesses=accesses,
-        misses=misses,
-        load_accesses=load_accesses,
-        load_misses=load_misses,
-    )
-
-
-def _measure_dynamic(
-    trace: Trace,
-    geometry: CacheGeometry,
-    replacement: str,
-    warmup: int,
-    interval: int,
-    policy,
-) -> MissRateResult:
-    """The reference interval loop: tick, maybe reconfigure, replay on.
+        policy_factory: zero-argument callable building a fresh dynamic
+            policy (each tier builds its own so speculative tiers can
+            restart cleanly).  ``None`` means a static run.
 
     The k-th tick fires just before position ``k*interval`` is
     processed (k >= 1, strictly inside the stream) and describes the
     preceding window; see :mod:`repro.core.interval` for the full
     timing and flush semantics.  This is the behavioural contract the
-    fast and vector tiers must match byte-for-byte.
+    fast and vector tiers match byte-for-byte.
     """
+    check_replay_args(warmup_fraction, interval)
+    ticker = ticker_for(interval, policy_factory, geometry)
     addrs, loads = trace_mem_ops(trace)
     n = len(addrs)
+    warmup = int(n * warmup_fraction)
     cache = SetAssociativeCache(geometry, replacement=replacement)
+    next_tick = interval if ticker is not None else -1
     bypassed = False
-    accesses = misses = load_accesses = load_misses = 0
-    ticks = reconfigurations = bypass_toggles = bypassed_accesses = 0
-    win_accesses = win_loads = win_misses = 0
-    total_accesses = total_misses = 0
-    next_tick = interval
+    bypassed_accesses = 0
+    # Cumulative over every position; ``warm`` is their value at warmup.
+    seen_loads = misses = load_misses = 0
+    warm = (0, 0, 0)
     for position in range(n):
         if position == next_tick:
-            stats = IntervalStats(
-                index=ticks,
-                position=position,
-                interval=interval,
-                accesses=win_accesses,
-                loads=win_loads,
-                stores=win_accesses - win_loads,
-                misses=win_misses,
-                way_mispredicts=0,
-                energy_delta=0.0,
-                total_accesses=total_accesses,
-                total_misses=total_misses,
-                geometry=cache.geometry,
-                bypassed=bypassed,
-            )
-            action = policy.on_interval(stats)
-            ticks += 1
+            action = ticker.tick(position, position, seen_loads, misses)
             next_tick += interval
-            win_accesses = win_loads = win_misses = 0
             if action is not None:
-                if action.geometry is not None and action.geometry != cache.geometry:
-                    validate_reconfigure(cache.geometry, action.geometry)
+                if action.geometry is not None:
                     cache.reconfigure(action.geometry)
-                    reconfigurations += 1
-                if action.bypass is not None and action.bypass != bypassed:
+                if action.bypass is not None:
                     bypassed = action.bypass
-                    bypass_toggles += 1
-        addr = addrs[position]
+        if position == warmup:
+            warm = (misses, seen_loads, load_misses)
+        is_load = loads[position]
+        seen_loads += is_load
         if bypassed:
-            hit = False
             bypassed_accesses += 1
         else:
+            addr = addrs[position]
             way = cache.probe(addr)
-            hit = way is not None
-            if hit:
+            if way is not None:
                 cache.touch(addr, way)
-            else:
-                cache.fill(addr)
-        is_load = loads[position]
-        win_accesses += 1
-        win_loads += 1 if is_load else 0
-        total_accesses += 1
-        if not hit:
-            win_misses += 1
-            total_misses += 1
-        if position < warmup:
-            continue
-        accesses += 1
-        if is_load:
-            load_accesses += 1
-        if not hit:
-            misses += 1
-            if is_load:
-                load_misses += 1
-    return MissRateResult(
-        accesses=accesses,
-        misses=misses,
-        load_accesses=load_accesses,
-        load_misses=load_misses,
-        ticks=ticks,
-        reconfigurations=reconfigurations,
-        bypass_toggles=bypass_toggles,
-        bypassed_accesses=bypassed_accesses,
-        final_size_bytes=cache.geometry.size_bytes,
+                continue
+            cache.fill(addr)
+        misses += 1
+        load_misses += is_load
+    counts = (
+        n - warmup,
+        misses - warm[0],
+        seen_loads - warm[1],
+        load_misses - warm[2],
     )
-
+    return MissRateResult.of(counts, ticker, bypassed_accesses)

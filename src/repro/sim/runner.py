@@ -615,18 +615,19 @@ def _build_missrate_result(
     return result
 
 
-def _dynamic_policy_factory(config: SystemConfig):
-    """A zero-arg factory for the config's d-cache policy, when dynamic.
+def _dynamic_policy_factory(run: RunSpec):
+    """The zero-arg policy factory a miss-rate replay ticks with, or ``None``.
 
-    Returns ``None`` for static kinds: the miss-rate path then runs the
-    ordinary (tickless) kernels, so a static config at ``interval > 0``
-    is byte-identical to the same config at ``interval == 0`` — only
-    its cache key differs.
+    This is the one tick decision: a factory is returned only when
+    ``run.interval > 0`` and the d-cache policy kind is dynamic.  Every
+    tier ticks if and only if it is given one, so a static config at
+    ``interval > 0`` is byte-identical to the same config at
+    ``interval == 0`` — only its cache key differs.
     """
     from repro.core.registry import get_policy
 
-    spec = config.dcache_policy
-    if not get_policy(spec.kind, "dcache").dynamic:
+    spec = run.config.dcache_policy
+    if run.interval <= 0 or not get_policy(spec.kind, "dcache").dynamic:
         return None
     return spec.build
 
@@ -637,11 +638,9 @@ def execute(run: RunSpec) -> SimResult:
     config = run.config
     if run.mode == "sim":
         return Simulator(config, backend=run.backend, interval=run.interval).run(trace)
-    factory = _dynamic_policy_factory(config) if run.interval > 0 else None
     measured = _MISSRATE_MEASURES[resolve_tier(run.backend, run.mode)](
         trace, config.dcache.geometry(), replacement=config.replacement,
-        interval=run.interval if factory is not None else 0,
-        policy_factory=factory,
+        interval=run.interval, policy_factory=_dynamic_policy_factory(run),
     )
     return _build_missrate_result(trace, config, measured, run.interval)
 

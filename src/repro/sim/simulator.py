@@ -34,7 +34,7 @@ from repro.cache.hierarchy import L2Cache, MainMemory, MemoryHierarchy
 from repro.core.engine import DCacheEngine
 from repro.core.factory import build_dcache_policy, build_icache_policy
 from repro.core.icache import ICacheEngine
-from repro.core.interval import IntervalStats, is_dynamic_policy
+from repro.core.interval import IntervalTicker, is_dynamic_policy
 from repro.fastsim import (
     FastBackendUnsupported,
     FastCore,
@@ -68,17 +68,15 @@ BACKENDS = ("reference", "fast", "vector")
 
 
 class _IntervalDriver:
-    """Delivers interval ticks to a dynamic d-cache policy.
+    """Feeds the d-cache engine's cumulative counters to a ticker.
 
-    Reads the engine's cumulative stats/ledger at each tick, hands the
-    window delta to ``policy.on_interval``, and applies any returned
-    action to the engine.  Only the reference engine ever hosts a
-    dynamic policy (dynamic kinds have no fast kernels, so the fast
-    backend falls back for that side), so ``engine.policy``,
-    ``engine.reconfigure``, and ``engine.bypassed`` always exist here.
-    ``way_mispredicts`` is the window's second-probe count and
-    ``energy_delta`` the window's d-cache + prediction ledger charge —
-    the two signals the paper's section 4 feedback schemes key on.
+    Only the reference engine ever hosts a dynamic policy (dynamic
+    kinds have no fast kernels, so the fast backend falls back for that
+    side), so ``engine.policy``, ``engine.reconfigure`` and
+    ``engine.bypassed`` always exist here.  ``way_mispredicts`` is the
+    engine's second-probe count and the energy its d-cache + prediction
+    ledger charge — the two signals the paper's section 4 feedback
+    schemes key on.
     """
 
     def __init__(
@@ -86,61 +84,24 @@ class _IntervalDriver:
     ) -> None:
         self.engine = engine
         self.ledger = ledger
-        self.interval = interval
-        self.ticks = 0
-        self.reconfigurations = 0
-        self.bypass_toggles = 0
-        self._prev_accesses = 0
-        self._prev_loads = 0
-        self._prev_misses = 0
-        self._prev_mispredicts = 0
-        self._prev_energy = 0.0
-
-    def _energy(self) -> float:
-        return self.ledger.get(self.engine.ENERGY_COMPONENT) + self.ledger.get(
-            self.engine.PREDICTION_COMPONENT
-        )
+        self.ticker = IntervalTicker(engine.policy, interval, engine.geometry)
 
     def __call__(self, cycle: int) -> None:
         engine = self.engine
         stats = engine.stats
-        accesses = stats.accesses
-        loads = stats.loads
-        misses = stats.misses
-        mispredicts = stats.second_probes
-        energy = self._energy()
-        win_accesses = accesses - self._prev_accesses
-        win_loads = loads - self._prev_loads
-        tick_stats = IntervalStats(
-            index=self.ticks,
-            position=cycle,
-            interval=self.interval,
-            accesses=win_accesses,
-            loads=win_loads,
-            stores=win_accesses - win_loads,
-            misses=misses - self._prev_misses,
-            way_mispredicts=mispredicts - self._prev_mispredicts,
-            energy_delta=energy - self._prev_energy,
-            total_accesses=accesses,
-            total_misses=misses,
-            geometry=engine.geometry,
-            bypassed=engine.bypassed,
+        energy = self.ledger.get(engine.ENERGY_COMPONENT) + self.ledger.get(
+            engine.PREDICTION_COMPONENT
         )
-        action = engine.policy.on_interval(tick_stats)
-        self.ticks += 1
-        self._prev_accesses = accesses
-        self._prev_loads = loads
-        self._prev_misses = misses
-        self._prev_mispredicts = mispredicts
-        self._prev_energy = energy
+        action = self.ticker.tick(
+            cycle, stats.accesses, stats.loads, stats.misses,
+            stats.second_probes, energy,
+        )
         if action is None:
             return
-        if action.geometry is not None and action.geometry != engine.geometry:
-            engine.reconfigure(action.geometry)  # validates the change
-            self.reconfigurations += 1
-        if action.bypass is not None and action.bypass != engine.bypassed:
+        if action.geometry is not None:
+            engine.reconfigure(action.geometry)
+        if action.bypass is not None:
             engine.bypassed = action.bypass
-            self.bypass_toggles += 1
 
 
 class Simulator:
@@ -334,12 +295,13 @@ class Simulator:
             )
 
         dynamics = DynamicsMetrics()
-        if driver is not None and driver.ticks > 0:
+        if driver is not None and driver.ticker.ticks > 0:
+            ticker = driver.ticker
             dynamics = DynamicsMetrics(
                 interval=self.interval,
-                ticks=driver.ticks,
-                reconfigurations=driver.reconfigurations,
-                bypass_toggles=driver.bypass_toggles,
+                ticks=ticker.ticks,
+                reconfigurations=ticker.reconfigurations,
+                bypass_toggles=ticker.bypass_toggles,
                 bypassed_accesses=self.dcache.bypassed_accesses,
                 final_size_bytes=self.dcache.geometry.size_bytes,
             )

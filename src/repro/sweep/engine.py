@@ -35,12 +35,20 @@ from repro.sweep.spec import RunSpec, SweepSpec
 
 
 def default_jobs() -> int:
-    """Worker count from ``REPRO_JOBS`` (default 1 = serial)."""
+    """Worker count from ``REPRO_JOBS`` (default 1 = serial).
+
+    Raises:
+        ValueError: ``REPRO_JOBS`` is not an integer >= 1; the message
+            names the variable.
+    """
     raw = os.environ.get("REPRO_JOBS", "1")
     try:
-        return max(1, int(raw))
+        jobs = int(raw)
     except ValueError:
-        return 1
+        jobs = 0
+    if jobs < 1:
+        raise ValueError(f"REPRO_JOBS must be an integer >= 1, got {raw!r}")
+    return jobs
 
 
 #: Per-completed-run callback: ``(done, total, spec, cache_hit)``.

@@ -539,6 +539,9 @@ def test_cache_gc_ages_out_stale_chunk_sidecars(tmp_path, monkeypatch, capsys):
         ("REPRO_SCALE", "0"),
         ("REPRO_INTERVAL", "abc"),
         ("REPRO_INTERVAL", "-5"),
+        ("REPRO_JOBS", "abc"),
+        ("REPRO_JOBS", "0"),
+        ("REPRO_JOBS", "-3"),
     ],
 )
 def test_main_rejects_bad_env(monkeypatch, capsys, name, value):
@@ -548,6 +551,31 @@ def test_main_rejects_bad_env(monkeypatch, capsys, name, value):
     assert main(["table4"]) == 2
     err = capsys.readouterr().err
     assert name in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "entry, argv",
+    [
+        ("sweep", TINY_SWEEP),
+        ("serve", []),
+        ("trace", ["report", "."]),
+    ],
+)
+def test_subcommands_reject_bad_repro_jobs(monkeypatch, capsys, entry, argv):
+    """Every entry point that defaults its worker count from REPRO_JOBS
+    rejects a malformed value up front: one line, exit 2."""
+    from repro.cli import serve_main
+
+    monkeypatch.setenv("REPRO_JOBS", "0")
+    if entry == "sweep":
+        code = sweep_main(argv)
+    elif entry == "serve":
+        code = serve_main(argv)
+    else:
+        code = main([entry] + argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "REPRO_JOBS" in err and "Traceback" not in err
 
 
 def test_repro_interval_env(monkeypatch):

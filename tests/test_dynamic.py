@@ -12,6 +12,7 @@ proving its *lossless fallback* whenever a tick actually reconfigures.
 from __future__ import annotations
 
 import json
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from repro.cache.geometry import CacheGeometry
 from repro.core.dynamic import DriResizePolicy, LevelPredictorPolicy
 from repro.core.interval import (
     IntervalStats,
+    ReconfigureAction,
     is_dynamic_policy,
     validate_reconfigure,
 )
@@ -33,6 +35,7 @@ from repro.sim.functional import measure_miss_rate
 from repro.sim.results import DynamicsMetrics, SimResult
 from repro.sim.simulator import Simulator
 from repro.sweep.spec import RunSpec, SweepSpec
+from repro.workload.encode import encode_trace
 from repro.workload.instr import OP_LOAD, OP_STORE, Instr
 from repro.workload.trace import Trace
 
@@ -147,7 +150,31 @@ class TestValidateReconfigure:
 # ------------------------------------------------------------------ #
 
 
-@pytest.mark.parametrize("kind", DYNAMIC_KINDS)
+class _NeverActs:
+    """A dynamic policy that observes every tick and never acts."""
+
+    def on_interval(self, stats):
+        return None
+
+
+class _AlwaysBypass:
+    """A dynamic policy that engages L1 bypass at every tick."""
+
+    def on_interval(self, stats):
+        return ReconfigureAction(bypass=True)
+
+
+#: Test-local dynamic policies, by the name the tier-equality test uses.
+_TEST_POLICIES = {"never": _NeverActs, "bypass": _AlwaysBypass}
+
+_TIERS = (measure_miss_rate, fast_miss_rate, vector_miss_rate)
+
+
+def _counters(result):
+    return (result.accesses, result.misses, result.load_accesses, result.load_misses)
+
+
+@pytest.mark.parametrize("kind", DYNAMIC_KINDS + tuple(_TEST_POLICIES))
 @settings(max_examples=12)
 @given(
     trace=traces(),
@@ -158,20 +185,53 @@ class TestValidateReconfigure:
 def test_dynamic_miss_rate_identical(kind, trace, warmup, assoc, interval):
     """reference == fast == vector under interval ticks, across the
     assoc x interval x warmup edges.  Thresholds are tightened so short
-    Hypothesis traces actually trigger resizing/bypass actions."""
+    Hypothesis traces actually trigger resizing/bypass actions.  A
+    policy that never acts must leave every tier's counters exactly at
+    its static run: static replay is the no-tick case of the interval
+    replay."""
     geometry = CacheGeometry(1024, assoc, 32)
-    params = (
-        {"miss_hi": 0.2, "miss_lo": 0.05, "min_kb": 1, "max_kb": 4}
-        if kind == "dri" else {"bypass_threshold": 0.3}
-    )
-    results = [
-        measure(
-            trace, geometry, "lru", warmup,
-            interval=interval, policy_factory=_factory(kind, **params),
+    if kind in _TEST_POLICIES:
+        factory = _TEST_POLICIES[kind]
+    else:
+        params = (
+            {"miss_hi": 0.2, "miss_lo": 0.05, "min_kb": 1, "max_kb": 4}
+            if kind == "dri" else {"bypass_threshold": 0.3}
         )
-        for measure in (measure_miss_rate, fast_miss_rate, vector_miss_rate)
+        factory = _factory(kind, **params)
+    results = [
+        measure(trace, geometry, "lru", warmup, interval=interval, policy_factory=factory)
+        for measure in _TIERS
     ]
     assert results[0] == results[1] == results[2]
+    if kind == "never":
+        for measure, result in zip(_TIERS, results):
+            static = measure(trace, geometry, "lru", warmup)
+            assert _counters(result) == _counters(static)
+
+
+def test_fast_bypass_reads_each_position_a_bounded_number_of_times():
+    """Bypassed ranges count their loads from the range alone: the
+    fast tier iterates the load flags O(n) times in total, never from
+    index 0 at every tick (which made always-bypass runs quadratic)."""
+    iterated = [0]
+
+    class CountingArray(array):
+        def __iter__(self):
+            for flag in array.__iter__(self):
+                iterated[0] += 1
+                yield flag
+
+    n = 6000
+    instrs = [
+        Instr(0x1000 + 4 * i, OP_LOAD if i % 3 else OP_STORE, addr=0x40 * (i % 97))
+        for i in range(n)
+    ]
+    encoded = encode_trace(Trace("bypass", instrs))
+    encoded._is_load = CountingArray("b", encoded.is_load)
+    geometry = CacheGeometry(1024, 2, 32)
+    result = fast_miss_rate(encoded, geometry, interval=16, policy_factory=_AlwaysBypass)
+    assert result.bypassed_accesses == n - 16
+    assert iterated[0] <= 2 * n
 
 
 @pytest.mark.parametrize("kind", DYNAMIC_KINDS)

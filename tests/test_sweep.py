@@ -411,8 +411,10 @@ class TestDefaultJobs:
         monkeypatch.setenv("REPRO_JOBS", "6")
         assert default_jobs() == 6
         monkeypatch.setenv("REPRO_JOBS", "bogus")
-        assert default_jobs() == 1
+        with pytest.raises(ValueError, match="REPRO_JOBS"):
+            default_jobs()
         monkeypatch.setenv("REPRO_JOBS", "-3")
-        assert default_jobs() == 1
+        with pytest.raises(ValueError, match="REPRO_JOBS"):
+            default_jobs()
         monkeypatch.delenv("REPRO_JOBS")
         assert default_jobs() == 1
