@@ -20,6 +20,12 @@ are byte-identical before trusting the clock.  The acceptance floor:
 warm must be at least ``SPEEDUP_FLOOR``x faster than cold on the
 python tier and on the numpy tier when available.
 
+A third row, **generation**, times a synthetic ``gcc`` trace of the
+same length from ``generate_trace`` to the same kernel-ready state
+(no artifacts).  Generation emits the encoded columns directly, so
+this is the whole cold start-up of a synthetic workload.  It has no
+floor; it records the number beside the host's ``cpu_count``.
+
 Run standalone to (re)write ``BENCH_encode.json`` at the repo root::
 
     PYTHONPATH=src python benchmarks/bench_encode.py
@@ -43,11 +49,15 @@ from repro.fastsim.vector import vector_enabled
 from repro.sim import runner
 from repro.workload.encode import encode_trace
 from repro.workload.formats import make_trace_ref
+from repro.workload.generator import generate_trace
 
 #: Warm-artifact start-up must beat cold parse+encode by this factor.
 SPEEDUP_FLOOR = 3.0
 
 TRACE_FILE = Path(__file__).resolve().parent / "data" / "bench_gcc_60k.csv.gz"
+
+#: Length of the synthetic generation row (the sample trace's length).
+GENERATION_INSTRUCTIONS = 60_000
 
 #: The paper's base L1 geometry — the block decode every kernel needs.
 GEOMETRY = CacheGeometry(16 * 1024, 4, 32)
@@ -127,6 +137,28 @@ def _measure_tier(tier: str) -> dict:
     }
 
 
+def _measure_generation(tier: str, passes: int = 3) -> dict:
+    """Best-of-``passes`` synthetic gcc generate-to-kernel-ready time."""
+    best = None
+    streams = None
+    for _ in range(passes):
+        started = time.perf_counter()
+        trace = generate_trace("gcc", GENERATION_INSTRUCTIONS)
+        again = _materialize(encode_trace(trace), tier)
+        elapsed = time.perf_counter() - started
+        assert streams is None or again == streams, "non-deterministic streams"
+        streams = again
+        best = elapsed if best is None else min(best, elapsed)
+    return {
+        "tier": tier,
+        "benchmark": "gcc",
+        "instructions": GENERATION_INSTRUCTIONS,
+        "seconds": round(best, 5),
+        "ns_per_instr": round(best * 1e9 / GENERATION_INSTRUCTIONS, 1),
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def _environment() -> dict:
     try:
         import numpy
@@ -144,9 +176,8 @@ def _environment() -> dict:
 
 
 def measure() -> dict:
-    tiers = [_measure_tier("fast")]
-    if vector_enabled():
-        tiers.append(_measure_tier("vector"))
+    names = ["fast", "vector"] if vector_enabled() else ["fast"]
+    tiers = [_measure_tier(tier) for tier in names]
     return {
         "bench": "encode-artifacts",
         "workload": {
@@ -156,6 +187,7 @@ def measure() -> dict:
         },
         "speedup_floor": SPEEDUP_FLOOR,
         "tiers": tiers,
+        "generation": [_measure_generation(tier) for tier in names],
         "environment": _environment(),
     }
 
@@ -181,6 +213,14 @@ def test_encode_vector_tier_warm_artifact_floor(benchmark):
           f"warm {entry['warm_seconds']:.4f}s "
           f"speedup {entry['speedup']:.1f}x")
     assert _check(entry)
+
+
+def test_generation_to_kernel_ready(benchmark):
+    """Synthetic gcc generation row: recorded, not floored."""
+    entry = run_once(benchmark, lambda: _measure_generation("fast", passes=1))
+    print(f"\ngenerate gcc {entry['instructions']}: {entry['seconds']:.4f}s "
+          f"({entry['ns_per_instr']:.0f} ns/instr, cpu_count {entry['cpu_count']})")
+    assert entry["seconds"] > 0
 
 
 def main() -> int:

@@ -38,7 +38,12 @@ from typing import List, Optional
 
 from repro.core.registry import SIDES, iter_policies
 from repro.experiments.common import settings_from_env
-from repro.sim.runner import BACKENDS, RUN_MODES, run_benchmark
+from repro.sim.runner import (
+    BACKENDS,
+    RUN_MODES,
+    _trace_cache_capacity,
+    run_benchmark,
+)
 from repro.experiments.registry import (
     experiment_json,
     get_experiment,
@@ -152,7 +157,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     try:
         settings = settings_from_env()
-    except ValueError as error:  # bad $REPRO_SCALE or $REPRO_INTERVAL
+        _trace_cache_capacity()
+    except ValueError as error:  # bad $REPRO_SCALE, $REPRO_INTERVAL or $REPRO_TRACE_CACHE
         print(error, file=sys.stderr)
         return 2
     if args.backend is not None:

@@ -251,11 +251,20 @@ def _artifact_key(benchmark: str, instructions: int, salt: int) -> str:
 
 
 def _section_names(encoded: EncodedTrace) -> FrozenSet[str]:
-    """Sections an export of ``encoded`` would contain, without
-    materializing any payload."""
+    """Sections a run has requested from ``encoded`` (plus any backing
+    artifact's), without materializing any payload.
+
+    Requested, not present: a synthetic trace's encoding arrives seeded
+    with every stream, but the memory-op stream counts only once a
+    kernel asked for it and the instruction sections only once
+    :meth:`~EncodedTrace.ensure_instr_arrays` ran — so a reference-only
+    run names nothing and publishes nothing.
+    """
     from repro.workload.artifact import INSTR_SECTIONS
 
-    names = {"addrs", "is_load"}
+    names = set()
+    if encoded._addrs is not None or encoded.ops is not None:
+        names.update(("addrs", "is_load"))
     names.update(f"blocks:{bits}" for bits in encoded._block_cache)
     names.update(f"blocks:{key[1]}" for key in encoded._np_cache if key[0] == "blocks")
     if encoded._artifact is not None:
@@ -288,14 +297,15 @@ def _attach_artifact(trace: Trace, key: str) -> None:
 
 
 def _publish_artifact(trace: Trace) -> None:
-    """Persist whatever ``trace``'s encoding has built (best-effort).
+    """Persist whatever ``trace``'s encoding was asked for (best-effort).
 
-    No-op when artifacts are disabled, when nothing was encoded (the
-    reference tier never encodes), or when everything built is already
-    on disk.  A re-publish after new sections appear (e.g. a full-sim
-    run adding instruction arrays to a mem-stream-only artifact)
-    rewrites the file with the union — artifact-resident sections pass
-    through as mapped bytes, so upgrades never re-read the source.
+    No-op when artifacts are disabled, when no run requested any
+    section (a reference-only run requests none), or when everything
+    requested is already on disk.  A re-publish after new sections
+    appear (e.g. a full-sim run adding instruction arrays to a
+    mem-stream-only artifact) rewrites the file with the union —
+    artifact-resident sections pass through as mapped bytes, so
+    upgrades never re-read the source.
     """
     directory = artifact_dir()
     if directory is None:
@@ -674,8 +684,8 @@ def run_benchmark(
     # Persist whatever the run just encoded, independent of the result
     # caches (`use_cache=False` governs result reuse, not derived
     # state): the next process — pool worker or service restart — maps
-    # it instead of re-encoding.  The reference tier never encodes, so
-    # this is a no-op there.
+    # it instead of re-encoding.  The reference tier requests no
+    # section, so this is a no-op there.
     trace = _TRACE_CACHE.get(
         (workload_id(benchmark) if is_trace_ref(benchmark) else benchmark,
          instructions, salt)

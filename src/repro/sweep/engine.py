@@ -204,8 +204,8 @@ class SweepEngine:
             # Publish the encoded-trace artifact before fanning out:
             # every worker — forked or spawned — then mmaps the one
             # on-disk encoding instead of re-encoding (or, for spawn,
-            # re-parsing) privately.  The reference tier never encodes,
-            # so reference-only workloads skip this.
+            # re-parsing) privately.  The reference tier requests no
+            # encoding, so reference-only workloads skip this.
             accelerated = [r for r in workload if r.backend != "reference"]
             if accelerated:
                 runner.ensure_artifact(

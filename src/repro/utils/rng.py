@@ -39,6 +39,12 @@ class DeterministicRng:
         self.salt = salt
         self._random = random.Random(seed_from_name(name, salt))
 
+    @property
+    def source(self) -> random.Random:
+        """The wrapped :class:`random.Random`, for hot loops that bind
+        its methods to locals (same draws as the helpers below)."""
+        return self._random
+
     def fork(self, sub_name: str) -> "DeterministicRng":
         """Return an independent child stream; order of forks is stable."""
         return DeterministicRng(f"{self.name}/{sub_name}", self.salt)

@@ -22,17 +22,20 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from repro.utils.rng import DeterministicRng
+from repro.workload.instr import OP_FP, OP_INT, OP_LOAD, OP_STORE
 
 #: Code region base address; far below the data regions.
 CODE_BASE = 0x0040_0000
 #: Bytes per instruction.
 INSTR_BYTES = 4
 
-# Slot kinds fixed at layout time.
-SLOT_INT = 0
-SLOT_FP = 1
-SLOT_LOAD = 2
-SLOT_STORE = 3
+# Slot kinds fixed at layout time.  Each is the opcode of the
+# instructions the slot emits, so a block's ``slots`` list is also its
+# body's op column.
+SLOT_INT = OP_INT
+SLOT_FP = OP_FP
+SLOT_LOAD = OP_LOAD
+SLOT_STORE = OP_STORE
 
 # Terminator kinds.
 TERM_FALL = 0  #: fall through, no branch instruction
@@ -174,11 +177,11 @@ def measure_block_weights(layout: "CodeLayout", rng: DeterministicRng,
         Map from block ``start_pc`` to observed execution count (>= 1
         for every block, so unvisited sites still get bound).
     """
-    walker = ControlFlowWalker(layout, rng)
+    next_block = ControlFlowWalker(layout, rng).next_block
     counts: Dict[int, int] = {}
     for _ in range(probe_blocks):
-        block, _, _ = walker.next_block()
-        counts[block.start_pc] = counts.get(block.start_pc, 0) + 1
+        pc = next_block()[0].start_pc
+        counts[pc] = counts.get(pc, 0) + 1
     return counts
 
 
@@ -326,15 +329,19 @@ def build_layout(params: LayoutParameters, rng: DeterministicRng) -> CodeLayout:
     return CodeLayout(functions=functions, code_bytes=pc - CODE_BASE)
 
 
-@dataclass
 class _Frame:
-    """Interpreter frame: where we are inside one function activation."""
+    """One function activation: its segments, where the walk is inside
+    them, and where execution resumes on return."""
 
-    func: FunctionSpec
-    segment_idx: int
-    block_pos: int  # position within the segment's block list
-    trips_left: int
-    return_pc: int
+    __slots__ = ("segments", "index", "blocks", "position", "trips", "return_pc")
+
+    def __init__(self, segments: list, trips: int, return_pc: int) -> None:
+        self.segments = segments  # (blocks, is_loop, nominal trips) per segment
+        self.index = 0  # current segment
+        self.blocks = segments[0][0]  # the current segment's blocks
+        self.position = 0  # within ``blocks``
+        self.trips = trips  # loop trips left in the current segment
+        self.return_pc = return_pc
 
 
 class ControlFlowWalker:
@@ -344,34 +351,47 @@ class ControlFlowWalker:
     generator turns into branch instructions.  The walker restarts the
     program's hot outer loop when execution falls off ``main`` (function
     0), so traces of any length can be produced.
+
+    The walk runs once per dynamic block (and 25k times more in every
+    generator's probe walk), so each function's segments are
+    precomputed as ``(blocks, is_loop, nominal_trips)`` tuples and the
+    innermost frame is kept at hand.
     """
 
     def __init__(self, layout: CodeLayout, rng: DeterministicRng, max_call_depth: int = 8) -> None:
         self.layout = layout
         self.rng = rng
         self.max_call_depth = max_call_depth
+        self._random = rng.source.random
+        self._randint = rng.source.randint
+        self._segments = [
+            [
+                (
+                    [func.blocks[index] for index in segment.block_indices],
+                    segment.is_loop,
+                    func.blocks[segment.block_indices[-1]].loop_trip,
+                )
+                for segment in func.segments
+            ]
+            for func in layout.functions
+        ]
+        self._main_entry = layout.functions[0].entry_pc
         self._stack: List[_Frame] = []
         self._enter_function(0, return_pc=0)
 
     def _enter_function(self, index: int, return_pc: int) -> None:
-        func = self.layout.functions[index]
-        first_seg = func.segments[0]
-        trips = func.blocks[first_seg.block_indices[-1]].loop_trip if first_seg.is_loop else 1
-        self._stack.append(
-            _Frame(func=func, segment_idx=0, block_pos=0, trips_left=trips, return_pc=return_pc)
-        )
+        segments = self._segments[index]
+        _blocks, is_loop, trips = segments[0]
+        self._frame = _Frame(segments, trips if is_loop else 1, return_pc)
+        self._stack.append(self._frame)
 
     def _advance_segment(self, frame: _Frame) -> None:
-        frame.segment_idx += 1
-        frame.block_pos = 0
-        if frame.segment_idx < len(frame.func.segments):
-            segment = frame.func.segments[frame.segment_idx]
-            if segment.is_loop:
-                tail = frame.func.blocks[segment.block_indices[-1]]
-                # Re-draw around the nominal trip count for variety.
-                frame.trips_left = max(1, tail.loop_trip + self.rng.randint(-1, 1))
-            else:
-                frame.trips_left = 1
+        frame.index += 1
+        frame.position = 0
+        if frame.index < len(frame.segments):
+            frame.blocks, is_loop, trips = frame.segments[frame.index]
+            # Re-draw around the nominal trip count for variety.
+            frame.trips = max(1, trips + self._randint(-1, 1)) if is_loop else 1
 
     def next_block(self) -> Tuple[BlockSpec, bool, int]:
         """Return (block, terminator_taken, return_pc_for_calls_or_rets).
@@ -379,52 +399,61 @@ class ControlFlowWalker:
         ``return_pc`` is meaningful for TERM_CALL (address execution
         resumes at) and TERM_RET (the target of the return).
         """
-        frame = self._stack[-1]
-        segment = frame.func.segments[frame.segment_idx]
-        block = frame.func.blocks[segment.block_indices[frame.block_pos]]
+        frame = self._frame
+        blocks = frame.blocks
+        position = frame.position
+        block = blocks[position]
+        kind = block.term_kind
 
+        # Steps that stay inside the segment, or enter a callee, return
+        # early: only leaving a segment can strand a frame past its end.
         taken = False
         aux_pc = 0
-        if block.term_kind == TERM_LOOP:
-            frame.trips_left -= 1
-            if frame.trips_left > 0:
-                taken = True
-                frame.block_pos = 0
-            else:
-                self._advance_segment(frame)
-        elif block.term_kind == TERM_COND:
-            taken = self.rng.chance(block.term_bias)
+        if kind == TERM_FALL:
+            if position + 1 < len(blocks):
+                frame.position = position + 1
+                return block, False, 0
             self._advance_segment(frame)
-            if taken and frame.segment_idx < len(frame.func.segments) - 1:
+        elif kind == TERM_LOOP:
+            frame.trips -= 1
+            if frame.trips > 0:
+                frame.position = 0
+                return block, True, 0
+            self._advance_segment(frame)
+        elif kind == TERM_COND:
+            bias = block.term_bias  # DeterministicRng.chance, draw for draw
+            taken = bias > 0.0 and (bias >= 1.0 or self._random() < bias)
+            self._advance_segment(frame)
+            if taken and frame.index < len(frame.segments) - 1:
                 # Skip the next segment, but never past the return block.
                 self._advance_segment(frame)
-        elif block.term_kind == TERM_CALL:
-            taken = True
+        elif kind == TERM_CALL:
             aux_pc = block.term_pc + INSTR_BYTES
+            self._advance_segment(frame)  # resume after the call
             if len(self._stack) < self.max_call_depth:
-                self._advance_segment(frame)  # resume after the call
                 self._enter_function(block.callee, return_pc=aux_pc)
-            else:
-                self._advance_segment(frame)  # too deep: elide the call
-                taken = False
-        elif block.term_kind == TERM_RET:
+                return block, True, aux_pc
+            # Too deep: the call is elided, not taken.
+        elif kind == TERM_RET:
             taken = True
-            aux_pc = frame.return_pc
-            self._stack.pop()
-            if not self._stack:
+            stack = self._stack
+            stack.pop()
+            if stack:
+                aux_pc = frame.return_pc
+                self._frame = stack[-1]
+            else:
                 # Program finished: restart main (outer program loop).
                 self._enter_function(0, return_pc=0)
-                aux_pc = self.layout.functions[0].entry_pc
-        else:  # TERM_FALL
-            if frame.block_pos + 1 < len(segment.block_indices):
-                frame.block_pos += 1
-            else:
-                self._advance_segment(frame)
+                aux_pc = self._main_entry
 
         # Falling past the last segment means implicit return.
-        while self._stack and self._stack[-1].segment_idx >= len(self._stack[-1].func.segments):
-            done = self._stack.pop()
-            if not self._stack:
+        frame = self._frame
+        if frame.index >= len(frame.segments):
+            stack = self._stack
+            while stack and stack[-1].index >= len(stack[-1].segments):
+                stack.pop()
+            if stack:
+                self._frame = stack[-1]
+            else:
                 self._enter_function(0, return_pc=0)
-                break
         return block, taken, aux_pc

@@ -24,16 +24,28 @@ block decodes are memoized per block size inside the encoding, so a
 sweep that runs many configurations over one trace encodes once and
 decodes once per distinct block size.
 
-Both granularities are built by *chunked iteration* over the source
-trace (:meth:`~repro.workload.trace.Trace.iter_chunks`), never by
-touching ``trace.instructions``: an ingested
-:class:`~repro.workload.trace.StreamingTrace` therefore encodes with at
-most one chunk of ``Instr`` objects alive at a time — the compact flat
-arrays are the only per-instruction state that persists.  The source is
-also iterated *at most once* end to end: whichever granularity builds
-first owns the single pass, and the memory-op stream derives from the
-instruction arrays when those already exist — for a file-backed trace,
-one simulation means one parse.
+Where the arrays come from depends on the trace:
+
+* **synthetic traces** arrive already encoded.  The generator emits the
+  nine instruction columns and the memory-op stream directly and hands
+  back a column-backed trace (:func:`seeded_trace`) whose memo is an
+  encoding seeded with them (:meth:`EncodedTrace.from_columns`); both
+  granularities adopt their seeded lists in O(1) when first requested,
+  and no encoding pass runs.
+* **ingested traces** are encoded by *chunked iteration* over the
+  source (:meth:`~repro.workload.trace.Trace.iter_chunks`), never by
+  touching ``trace.instructions``: a
+  :class:`~repro.workload.trace.StreamingTrace` therefore encodes with
+  at most one chunk of ``Instr`` objects alive at a time.  The source
+  is iterated *at most once* end to end: whichever granularity builds
+  first owns the single pass, and the memory-op stream derives from the
+  instruction arrays when those already exist — for a file-backed
+  trace, one simulation means one parse.
+* **artifact-backed encodings** (:meth:`EncodedTrace.from_artifact`)
+  restore or alias the persisted sections of an earlier process.
+
+In every case a stream counts as *built* only once it has been
+requested, and an artifact publish writes only built streams.
 
 When numpy is importable, the memory-op stream is additionally exposed
 as numpy arrays (:meth:`EncodedTrace.addrs_np`,
@@ -41,8 +53,8 @@ as numpy arrays (:meth:`EncodedTrace.addrs_np`,
 :meth:`EncodedTrace.blocks_np` / :meth:`EncodedTrace.set_indices_np` /
 :meth:`EncodedTrace.tags_np` decodes) for the vector kernel tier
 (:mod:`repro.fastsim.vector`).  The base views are zero-copy
-``frombuffer`` wrappers over the chunk-built ``array`` storage — the
-streaming memory bound survives untouched — and every view is marked
+``frombuffer`` wrappers over the ``array`` storage — the streaming
+memory bound survives untouched — and every view is marked
 read-only so the memos cannot be corrupted through an aliased array.
 """
 
@@ -50,11 +62,12 @@ from __future__ import annotations
 
 import sys
 from array import array
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from repro.utils.bitops import AddressFields, bit_mask
-from repro.workload.instr import OP_LOAD, OP_STORE
-from repro.workload.trace import Trace
+from repro.workload.instr import OP_LOAD, OP_STORE, Instr
+from repro.workload.trace import StreamingTrace, Trace
 
 try:
     import numpy as _np
@@ -114,18 +127,29 @@ class EncodedTrace:
         "xors",
         "_iblock_cache",
         "_artifact",
+        "_seeded",
     )
 
     def __init__(self, trace: Trace) -> None:
-        self.name = trace.name
         # Nothing is parsed here: the source is kept until the first
         # build pass runs, so one simulation costs one iteration of the
         # trace however it is consumed (miss-rate or full sim).  The
         # reference is dropped as soon as a pass completes — holding a
         # StreamingTrace is free, and for in-memory traces the memo
         # already lives *on* the trace object.
-        self._source: Optional[Trace] = trace
-        self._instructions: Optional[int] = None
+        self._setup(trace.name, source=trace)
+
+    def _setup(
+        self,
+        name: str,
+        source: Optional[Trace] = None,
+        instructions: Optional[int] = None,
+        artifact=None,
+        seeded: Optional[tuple] = None,
+    ) -> None:
+        self.name = name
+        self._source = source
+        self._instructions = instructions
         self._addrs: Optional[array] = None
         self._is_load: Optional[array] = None
         self._block_cache: Dict[int, List[int]] = {}
@@ -147,7 +171,10 @@ class EncodedTrace:
         # A loaded on-disk artifact backing this encoding, or None.
         # Sections restore lazily from it instead of re-reading the
         # source trace; numpy views alias its mapped pages zero-copy.
-        self._artifact = None
+        self._artifact = artifact
+        # (columns, addrs, is_load) emitted by the generator, or None;
+        # each granularity adopts its part when first requested.
+        self._seeded = seeded
 
     @classmethod
     def from_artifact(cls, artifact) -> "EncodedTrace":
@@ -159,24 +186,28 @@ class EncodedTrace:
         page-cache pages instead of N private heaps.
         """
         encoded = cls.__new__(cls)
-        encoded.name = artifact.name
-        encoded._source = None
-        encoded._instructions = artifact.instructions
-        encoded._addrs = None
-        encoded._is_load = None
-        encoded._block_cache = {}
-        encoded._np_cache = {}
-        encoded.ops = None
-        encoded.pcs = None
-        encoded.dsts = None
-        encoded.src1s = None
-        encoded.src2s = None
-        encoded.daddrs = None
-        encoded.takens = None
-        encoded.targets = None
-        encoded.xors = None
-        encoded._iblock_cache = {}
-        encoded._artifact = artifact
+        encoded._setup(
+            artifact.name, instructions=artifact.instructions, artifact=artifact
+        )
+        return encoded
+
+    @classmethod
+    def from_columns(
+        cls, name: str, columns: Tuple[list, ...], addrs: array, is_load: array
+    ) -> "EncodedTrace":
+        """An encoding seeded with streams that are already built.
+
+        ``columns`` are the nine per-instruction lists in
+        :data:`~repro.workload.artifact.INSTR_SECTIONS` order, and
+        ``addrs``/``is_load`` the memory-op stream.  Nothing counts as
+        built until it is requested: :meth:`ensure_instr_arrays` and the
+        memory-op accessors adopt their seeded part in O(1), so an
+        artifact publish still writes only what a run asked for.
+        """
+        encoded = cls.__new__(cls)
+        encoded._setup(
+            name, instructions=len(columns[0]), seeded=(columns, addrs, is_load)
+        )
         return encoded
 
     # -------------------------------------------------------------- #
@@ -187,6 +218,9 @@ class EncodedTrace:
         """Build ``addrs``/``is_load`` once, without re-reading the
         source when the instruction arrays already hold everything."""
         if self._addrs is not None:
+            return
+        if self._seeded is not None:
+            _columns, self._addrs, self._is_load = self._seeded
             return
         if self._artifact is not None and self._artifact.has("addrs"):
             # Lossless pure-python restore (`array.array.frombytes`) —
@@ -313,7 +347,7 @@ class EncodedTrace:
     def addrs_np(self):
         """Zero-copy read-only ``uint64`` view of :attr:`addrs`.
 
-        Shares the chunk-built ``array`` buffer — no per-element copy,
+        Shares the ``array`` buffer — no per-element copy,
         and the streaming-encode memory bound is untouched.
 
         Raises:
@@ -415,14 +449,20 @@ class EncodedTrace:
     def ensure_instr_arrays(self, trace: Trace) -> None:
         """Build the full per-instruction arrays once (idempotent).
 
-        Takes the source trace again rather than holding ``Instr``
-        objects: chunked iteration (never ``trace.instructions``) keeps
+        A seeded encoding adopts its columns and an artifact-backed one
+        restores them; neither reads ``trace``.  Otherwise this takes
+        the source trace again rather than holding ``Instr`` objects:
+        chunked iteration (never ``trace.instructions``) keeps
         streaming traces from materializing — the nine flat int lists
         are the only O(n) state, live ``Instr`` objects stay bounded by
         the chunk size.  After this pass the memory-op stream derives
         from these arrays, so the source is never read again.
         """
         if self.ops is not None:
+            return
+        if self._seeded is not None:
+            (self.ops, self.pcs, self.dsts, self.src1s, self.src2s,
+             self.daddrs, self.takens, self.targets, self.xors) = self._seeded[0]
             return
         if self._artifact is not None and self._artifact.has("ops"):
             self._restore_instr_arrays()
@@ -488,7 +528,8 @@ class EncodedTrace:
         The memory-op stream is always included (building it from
         already-built instruction arrays is cheap, and it is the one
         stream every tier consumes); block decodes and instruction
-        arrays are included only when this encoding built them —
+        arrays are included only once requested (a seeded encoding's
+        unrequested columns stay out) —
         sections resident in a backing artifact pass through as raw
         mapped bytes without materializing.
 
@@ -551,6 +592,23 @@ class EncodedTrace:
             blocks = [pc >> offset_bits for pc in self.pcs]
             self._iblock_cache[offset_bits] = blocks
         return blocks
+
+
+def seeded_trace(
+    name: str, columns: Tuple[list, ...], addrs: array, is_load: array
+) -> StreamingTrace:
+    """A column-backed trace whose encoding memo is already seeded.
+
+    ``Instr`` objects are built from the columns only when the trace is
+    iterated (the reference pipeline, summaries, format conversion),
+    chunk by chunk like any :class:`StreamingTrace`; ``len`` is free.
+    """
+    ops, pcs, dsts, src1s, src2s, daddrs, takens, targets, xors = columns
+    # A partial over the builtin map, not a closure: the trace pickles.
+    opener = partial(map, Instr, pcs, ops, dsts, src1s, src2s, daddrs, takens, targets, xors)
+    trace = StreamingTrace(name, opener, length=len(ops))
+    setattr(trace, _CACHE_ATTR, EncodedTrace.from_columns(name, columns, addrs, is_load))
+    return trace
 
 
 def encode_trace(trace: Trace) -> EncodedTrace:

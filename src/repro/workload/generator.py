@@ -1,36 +1,48 @@
-"""Trace synthesis: streams + code layout -> dynamic instruction trace."""
+"""Trace synthesis: streams + code layout -> encoded instruction columns.
+
+A :class:`TraceGenerator` builds one benchmark profile's synthetic
+program: data streams (:mod:`repro.workload.streams`) placed in memory,
+and a static code layout (:mod:`repro.workload.codegen`) whose memory
+sites a probe walk binds to streams.  :meth:`TraceGenerator.generate`
+then walks the layout and emits every dynamic instruction straight into
+the nine per-instruction columns of
+:class:`~repro.workload.encode.EncodedTrace` (op, pc, dst, src1, src2,
+data address, taken, target, XOR handle) plus the memory-op stream, in
+one fused loop.  No :class:`~repro.workload.instr.Instr` is built: the
+returned trace is column-backed with its encoding memo already seeded,
+so the fast and vector tiers never run an encoding pass, and ``Instr``
+objects materialize only when a consumer iterates the trace (the
+reference pipeline, ``summary()``, ``trace convert``).
+
+Four independent RNG streams feed the loop (``walk`` for control flow,
+``regs`` for register choice, ``addr`` for stream addresses, ``noise``
+for XOR-handle perturbation), and each is drawn from in a fixed order,
+so (profile, salt, length) identifies one trace; a trace is a prefix of
+every longer trace with the same profile and salt.
+"""
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
-from typing import List, Optional
+from typing import List
 
 from repro.utils.rng import DeterministicRng
 from repro.workload.codegen import (
     ControlFlowWalker,
     LayoutParameters,
     SLOT_FP,
+    SLOT_INT,
     SLOT_LOAD,
-    SLOT_STORE,
     TERM_CALL,
-    TERM_COND,
     TERM_FALL,
-    TERM_LOOP,
     TERM_RET,
     bind_streams,
     build_layout,
     measure_block_weights,
 )
-from repro.workload.instr import (
-    OP_BRANCH,
-    OP_CALL,
-    OP_FP,
-    OP_INT,
-    OP_LOAD,
-    OP_RET,
-    OP_STORE,
-    Instr,
-)
+from repro.workload.encode import seeded_trace
+from repro.workload.instr import OP_BRANCH, OP_CALL, OP_INT, OP_RET
 from repro.workload.profiles import BenchmarkProfile, get_profile
 from repro.workload.streams import (
     AddressStream,
@@ -54,86 +66,12 @@ GENERATOR_VERSION = 1
 #: log2 of the block size used for XOR-handle construction.
 _BLOCK_SHIFT = 5
 
+#: A perturbed XOR handle is the block address XOR (1 + a 12-bit draw).
+_NOISE_MASK = (1 << 12) - 1
+
 # Register file split: integer r1..r30, floating point f32..f62.
 _INT_REGS = list(range(1, 31))
 _FP_REGS = list(range(32, 63))
-
-
-class _RegisterModel:
-    """Assigns destination/source registers with dataflow locality.
-
-    Sources prefer recently written registers (geometric-ish backward
-    distance), which creates the dependence chains that let the
-    out-of-order core's latency-hiding behave realistically.
-    """
-
-    def __init__(self, rng: DeterministicRng) -> None:
-        self._rng = rng
-        self._recent_int = deque([1, 2, 3, 4], maxlen=8)
-        self._recent_fp = deque([32, 33, 34, 35], maxlen=8)
-        self._recent_load = deque([1, 2], maxlen=4)
-        self._recent_alu = deque([3, 4], maxlen=4)
-        self._int_cursor = 0
-        self._fp_cursor = 0
-
-    def dest(self, fp: bool, is_load: bool = False) -> int:
-        if fp:
-            self._fp_cursor = (self._fp_cursor + 1) % len(_FP_REGS)
-            reg = _FP_REGS[self._fp_cursor]
-            self._recent_fp.append(reg)
-        else:
-            self._int_cursor = (self._int_cursor + 1) % len(_INT_REGS)
-            reg = _INT_REGS[self._int_cursor]
-            self._recent_int.append(reg)
-            if not is_load:
-                self._recent_alu.append(reg)
-        return reg
-
-    def source(self, fp: bool) -> int:
-        """Pick a source register, strongly biased to recent producers.
-
-        ~85% of sources come from the last few written registers, with
-        the most recent heavily favored — real code consumes values
-        almost immediately, which is what puts load latency on the
-        critical path (and is why the paper's 2-cycle sequential d-cache
-        costs ~11% performance despite an 8-wide out-of-order core).
-        """
-        pool = self._recent_fp if fp else self._recent_int
-        if self._rng.chance(0.85):
-            back = 0
-            while back < len(pool) - 1 and self._rng.chance(0.45):
-                back += 1
-            return pool[-1 - back]
-        return self._rng.choice(_FP_REGS if fp else _INT_REGS)
-
-    def note_load_dest(self, reg: int) -> None:
-        """Remember a load result for pointer/branch chaining."""
-        self._recent_load.append(reg)
-
-    def induction_source(self) -> int:
-        """Address register for array/scalar accesses.
-
-        Drawn from ALU results (induction variables, frame/base
-        pointers), *not* load results — a walk's address never waits on
-        cache latency, which is what lets the out-of-order core overlap
-        independent array streams (memory-level parallelism).
-        """
-        return self._recent_alu[-1 - self._rng.randint(0, len(self._recent_alu) - 1)]
-
-    def pointer_source(self) -> int:
-        """Address register for object/pointer accesses: frequently a
-        recent load result (``p->next``, ``a[b[i]]``), which puts cache
-        hit latency on the dependence chain — the effect that makes the
-        paper's all-sequential d-cache ~11% slower."""
-        if self._rng.chance(0.7):
-            return self._recent_load[-1]
-        return self.source(fp=False)
-
-    def branch_source(self) -> int:
-        """Condition register of a branch; often a fresh load result."""
-        if self._rng.chance(0.6):
-            return self._recent_load[-1]
-        return self.source(fp=False)
 
 
 class TraceGenerator:
@@ -151,18 +89,17 @@ class TraceGenerator:
         weights = measure_block_weights(self.layout, self._rng.fork("probe"))
         bind_streams(self.layout, params, self._rng.fork("bind"), weights)
         self._walker = ControlFlowWalker(self.layout, self._rng.fork("walk"))
-        self._regs = _RegisterModel(self._rng.fork("regs"))
+        self._regs_rng = self._rng.fork("regs")
         self._addr_rng = self._rng.fork("addr")
         self._noise_rng = self._rng.fork("noise")
-        # Pointer-family streams get load-fed address registers.
-        self._pointer_family = [
-            isinstance(s, (ObjectPoolStream, ConflictStream, ChaseStream))
-            for s in self.streams
-        ]
-
-    # ------------------------------------------------------------------ #
-    # Construction helpers
-    # ------------------------------------------------------------------ #
+        # Register model: the most recently written integer and fp
+        # registers, load results, and ALU results, plus the round-robin
+        # destination cursors.  Kept across generate() calls.
+        self._recent_int = deque([1, 2, 3, 4], maxlen=8)
+        self._recent_fp = deque([32, 33, 34, 35], maxlen=8)
+        self._recent_load = deque([1, 2], maxlen=4)
+        self._recent_alu = deque([3, 4], maxlen=4)
+        self._cursors = (0, 0)
 
     def _build_streams(self) -> List[AddressStream]:
         """Instantiate the stream pool in family order.
@@ -245,115 +182,182 @@ class TraceGenerator:
     # Emission
     # ------------------------------------------------------------------ #
 
-    def _address_register(self, stream_id: int) -> int:
-        """Pick the address base register by stream family: array and
-        scalar addresses come from induction/frame registers, pointer
-        families (pools, conflict structures, chases) from recent load
-        results."""
-        if self._pointer_family[stream_id]:
-            return self._regs.pointer_source()
-        return self._regs.induction_source()
-
-    def _memory_instr(self, pc: int, slot_kind: int, stream_id: int) -> Instr:
-        stream = self.streams[stream_id]
-        addr = stream.next_address(self._addr_rng)
-        if slot_kind == SLOT_LOAD:
-            block_addr = addr >> _BLOCK_SHIFT
-            noise = min(1.0, stream.handle_noise * self.profile.xor_noise_scale)
-            if self._noise_rng.chance(noise):
-                handle = block_addr ^ (1 + self._noise_rng.randint(0, (1 << 12) - 1))
-            else:
-                handle = block_addr
-            dst = self._regs.dest(fp=False, is_load=True)
-            instr = Instr(
-                pc=pc,
-                op=OP_LOAD,
-                dst=dst,
-                src1=self._address_register(stream_id),
-                addr=addr,
-                xor_handle=handle,
-            )
-            self._regs.note_load_dest(dst)
-            return instr
-        return Instr(
-            pc=pc,
-            op=OP_STORE,
-            src1=self._address_register(stream_id),
-            src2=self._regs.source(fp=False),
-            addr=addr,
-        )
-
-    def _body_instr(self, pc: int, slot_kind: int, stream_id: int) -> Instr:
-        if slot_kind == SLOT_LOAD or slot_kind == SLOT_STORE:
-            return self._memory_instr(pc, slot_kind, stream_id)
-        fp = slot_kind == SLOT_FP
-        return Instr(
-            pc=pc,
-            op=OP_FP if fp else OP_INT,
-            dst=self._regs.dest(fp),
-            src1=self._regs.source(fp),
-            src2=self._regs.source(fp),
-        )
-
     def generate(self, num_instructions: int) -> Trace:
         """Produce a trace of exactly ``num_instructions`` instructions.
 
         Branch targets are made coherent with the dynamic path: a taken
         control instruction's ``target`` equals the next instruction's
-        block start, so the fetch model and predictors observe a
-        self-consistent program.
+        block start (the walker runs one block past the end when the
+        last instruction is taken), so the fetch model and predictors
+        observe a self-consistent program.
+
+        Raises:
+            TypeError: ``num_instructions`` is not an int (bools too).
+            ValueError: ``num_instructions`` is below 1.
         """
+        if isinstance(num_instructions, bool) or not isinstance(num_instructions, int):
+            raise TypeError(
+                f"num_instructions must be an int, got {num_instructions!r}"
+            )
         if num_instructions < 1:
             raise ValueError("num_instructions must be >= 1")
-        out: List[Instr] = []
-        pending: Optional[Instr] = None  # terminator awaiting its target
+        n = num_instructions
 
-        while len(out) < num_instructions:
-            block, taken, aux_pc = self._walker.next_block()
-            if pending is not None:
-                if pending.taken:
-                    pending.target = block.start_pc
-                out.append(pending)
-                pending = None
-                if len(out) >= num_instructions:
-                    break
+        next_block = self._walker.next_block
+        regs = self._regs_rng.source
+        regs_random, regs_randint, regs_choice = regs.random, regs.randint, regs.choice
+        addr_rng = self._addr_rng.source
+        noise = self._noise_rng.source
+        noise_random, noise_randint = noise.random, noise.randint
+        scale = self.profile.xor_noise_scale
+        next_address = [stream.next_address for stream in self.streams]
+        noise_p = [min(1.0, stream.handle_noise * scale) for stream in self.streams]
+        # Address base registers by stream family: pointer families
+        # (pools, conflict structures, chases) take recent load results,
+        # arrays and scalars induction/frame registers.
+        pointer = [
+            isinstance(stream, (ObjectPoolStream, ConflictStream, ChaseStream))
+            for stream in self.streams
+        ]
+        recent_int = self._recent_int
+        recent_fp = self._recent_fp
+        recent_load = self._recent_load
+        recent_alu = self._recent_alu
+        int_push, fp_push = recent_int.append, recent_fp.append
+        load_push, alu_push = recent_load.append, recent_alu.append
+        int_cursor, fp_cursor = self._cursors
+
+        def source(pool, registers):
+            """A source register, strongly biased to recent producers.
+
+            ~85% of sources come from the last few written registers,
+            the most recent heavily favored: real code consumes values
+            almost immediately, which puts load latency on the critical
+            path (why the paper's 2-cycle sequential d-cache costs ~11%
+            performance despite an 8-wide out-of-order core).
+            """
+            if regs_random() < 0.85:
+                back = 0
+                limit = len(pool) - 1
+                while back < limit and regs_random() < 0.45:
+                    back += 1
+                return pool[-1 - back]
+            return regs_choice(registers)
+
+        # The columns are preallocated at their defaults, so each
+        # instruction stores only the fields it sets.
+        ops = [OP_INT] * n
+        pcs = [0] * n
+        dsts = [-1] * n
+        src1s = [-1] * n
+        src2s = [-1] * n
+        daddrs = [0] * n
+        takens = [False] * n
+        targets = [0] * n
+        xors = [0] * n
+        addrs = array("Q")
+        is_load = array("b")
+        mem_push, kind_push = addrs.append, is_load.append
+        pending = -1  # index of a taken terminator awaiting its target
+        i = 0
+        while True:
+            block, taken, _aux_pc = next_block()
             pc = block.start_pc
-            for slot_kind, stream_id in zip(block.slots, block.stream_ids):
-                out.append(self._body_instr(pc, slot_kind, stream_id))
-                pc += 4
-                if len(out) >= num_instructions:
+            if pending >= 0:
+                targets[pending] = pc
+                pending = -1
+                if i >= n:
                     break
-            if len(out) >= num_instructions:
+            slots = block.slots
+            if len(slots) > n - i:
+                slots = slots[:n - i]
+            # Slot kinds are opcodes: the body's ops and pcs are slices.
+            # Destinations go round-robin over the 30 integer and 31 fp
+            # registers.
+            end = i + len(slots)
+            ops[i:end] = slots
+            pcs[i:end] = range(pc, pc + 4 * len(slots), 4)
+            for kind, stream_id in zip(slots, block.stream_ids):
+                if kind == SLOT_INT:
+                    int_cursor = (int_cursor + 1) % 30
+                    dsts[i] = dst = _INT_REGS[int_cursor]
+                    int_push(dst)
+                    alu_push(dst)
+                    src1s[i] = source(recent_int, _INT_REGS)
+                    src2s[i] = source(recent_int, _INT_REGS)
+                elif kind == SLOT_FP:
+                    fp_cursor = (fp_cursor + 1) % 31
+                    dsts[i] = dst = _FP_REGS[fp_cursor]
+                    fp_push(dst)
+                    src1s[i] = source(recent_fp, _FP_REGS)
+                    src2s[i] = source(recent_fp, _FP_REGS)
+                else:
+                    daddrs[i] = addr = next_address[stream_id](addr_rng)
+                    mem_push(addr)
+                    if kind == SLOT_LOAD:
+                        kind_push(1)
+                        block_addr = addr >> _BLOCK_SHIFT
+                        p = noise_p[stream_id]  # DeterministicRng.chance
+                        if p > 0.0 and (p >= 1.0 or noise_random() < p):
+                            xors[i] = block_addr ^ (1 + noise_randint(0, _NOISE_MASK))
+                        else:
+                            xors[i] = block_addr
+                        int_cursor = (int_cursor + 1) % 30
+                        dsts[i] = dst = _INT_REGS[int_cursor]
+                        int_push(dst)
+                    else:
+                        kind_push(0)
+                    # The address register: an induction/frame register
+                    # (an ALU result, so array walks never wait on cache
+                    # latency), or for pointer families often the last
+                    # load result (``p->next``), which puts hit latency
+                    # on the dependence chain.
+                    if not pointer[stream_id]:
+                        src1s[i] = recent_alu[-1 - regs_randint(0, len(recent_alu) - 1)]
+                    elif regs_random() < 0.7:
+                        src1s[i] = recent_load[-1]
+                    else:
+                        src1s[i] = source(recent_int, _INT_REGS)
+                    if kind == SLOT_LOAD:
+                        load_push(dst)
+                    else:
+                        src2s[i] = source(recent_int, _INT_REGS)
+                i += 1
+            if i >= n:
                 break
-            term = self._terminator(block, taken, aux_pc)
-            if term is not None:
-                pending = term  # target resolved when the next block arrives
 
-        return Trace(self.profile.name, out[:num_instructions])
+            # The terminator slot.  A taken one gets its target from the
+            # next block.
+            pcs[i] = pc + 4 * len(slots)
+            term = block.term_kind
+            if term == TERM_FALL or (term == TERM_CALL and not taken):
+                # Filler ALU op (fall-through, or a call elided by the
+                # depth limit) keeps PCs contiguous.
+                int_cursor = (int_cursor + 1) % 30
+                dsts[i] = dst = _INT_REGS[int_cursor]
+                int_push(dst)
+                alu_push(dst)
+            else:
+                if term == TERM_CALL:
+                    ops[i] = OP_CALL
+                elif term == TERM_RET:
+                    ops[i] = OP_RET
+                else:  # TERM_COND / TERM_LOOP: the condition is often a fresh load
+                    ops[i] = OP_BRANCH
+                    if regs_random() < 0.6:
+                        src1s[i] = recent_load[-1]
+                    else:
+                        src1s[i] = source(recent_int, _INT_REGS)
+                if taken:
+                    takens[i] = True
+                    pending = i
+            i += 1
+            if i >= n and pending < 0:
+                break
 
-    def _terminator(self, block, taken: bool, aux_pc: int) -> Optional[Instr]:
-        """Build the block's terminator instruction, if it has one."""
-        kind = block.term_kind
-        pc = block.term_pc
-        if kind == TERM_FALL:
-            # Filler ALU op keeps PCs contiguous across the reserved slot.
-            return Instr(pc=pc, op=OP_INT, dst=self._regs.dest(fp=False))
-        if kind == TERM_COND or kind == TERM_LOOP:
-            return Instr(
-                pc=pc,
-                op=OP_BRANCH,
-                src1=self._regs.branch_source(),
-                taken=taken,
-            )
-        if kind == TERM_CALL:
-            if not taken:
-                # Call elided by the depth limit: an ordinary instruction
-                # occupies the slot.
-                return Instr(pc=pc, op=OP_INT, dst=self._regs.dest(fp=False))
-            return Instr(pc=pc, op=OP_CALL, taken=True)
-        if kind == TERM_RET:
-            return Instr(pc=pc, op=OP_RET, taken=True, target=aux_pc)
-        raise AssertionError(f"unknown terminator kind {kind}")
+        self._cursors = (int_cursor, fp_cursor)
+        columns = (ops, pcs, dsts, src1s, src2s, daddrs, takens, targets, xors)
+        return seeded_trace(self.profile.name, columns, addrs, is_load)
 
 
 def generate_trace(benchmark: str, num_instructions: int, salt: int = 0) -> Trace:

@@ -52,7 +52,13 @@ class AddressStream:
     handle_noise = 0.0
 
     def next_address(self, rng: DeterministicRng) -> int:
-        """Return the next effective address for this stream."""
+        """Return the next effective address for this stream.
+
+        ``rng`` may also be the :class:`random.Random` behind a
+        :class:`DeterministicRng` (the generator's hot loop passes
+        that): streams call only ``randint``, which draws the same
+        through either.
+        """
         raise NotImplementedError
 
 

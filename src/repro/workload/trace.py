@@ -134,6 +134,10 @@ class Trace:
 class StreamingTrace(Trace):
     """A trace backed by a re-openable reader instead of an in-memory list.
 
+    The reader is a trace file's parser, or, for a synthetic trace, a
+    ``map`` building ``Instr`` objects from its encoded columns (see
+    :func:`repro.workload.encode.seeded_trace`).
+
     Implements the :class:`Trace` protocol via chunked iteration:
     ``__iter__``/``iter_chunks``/``summary`` hold at most one chunk of
     :class:`Instr` objects alive, so multi-million-instruction files can

@@ -539,6 +539,8 @@ def test_cache_gc_ages_out_stale_chunk_sidecars(tmp_path, monkeypatch, capsys):
         ("REPRO_SCALE", "0"),
         ("REPRO_INTERVAL", "abc"),
         ("REPRO_INTERVAL", "-5"),
+        ("REPRO_TRACE_CACHE", "abc"),
+        ("REPRO_TRACE_CACHE", "-2"),
         ("REPRO_JOBS", "abc"),
         ("REPRO_JOBS", "0"),
         ("REPRO_JOBS", "-3"),

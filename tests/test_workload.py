@@ -1,11 +1,19 @@
 """Workload generation: determinism, coherence, and stream behaviour."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.utils.rng import DeterministicRng
+from repro.workload.artifact import INSTR_SECTIONS, list_to_bytes
+from repro.workload.encode import EncodedTrace, encode_trace
 from repro.workload.generator import TraceGenerator, generate_trace
-from repro.workload.instr import OP_LOAD, OP_STORE
+from repro.workload.instr import MEMORY_OPS, OP_LOAD, OP_STORE
+from repro.workload.trace import Trace
 from repro.workload.profiles import BENCHMARKS, benchmark_names, get_profile
 from repro.workload.streams import (
     ChaseStream,
@@ -203,3 +211,105 @@ class TestGeneratorInternals:
                 for slot, stream_id in zip(block.slots, block.stream_ids):
                     if slot in (SLOT_LOAD, SLOT_STORE):
                         assert 0 <= stream_id < len(generator.streams)
+
+
+# ------------------------------------------------------------------ #
+# Column emission: identity with the committed digests, and the
+# column-backed trace's agreement with its own columns
+# ------------------------------------------------------------------ #
+
+#: Per-column SHA-256 digests of every profile x salt {0, 5} x length
+#: {1, 37, 20000}, written by scripts/generator_digests.py from the
+#: generator that built ``Instr`` objects and encoded them afterwards.
+DIGESTS = Path(__file__).resolve().parent / "data" / "generator_digests.json"
+
+COLUMNS = [name for name, _dtype in INSTR_SECTIONS]
+
+
+def _columns(trace):
+    encoded = encode_trace(trace)
+    encoded.ensure_instr_arrays(trace)
+    return [getattr(encoded, name) for name in COLUMNS]
+
+
+class TestColumnEmission:
+    def test_columns_match_committed_digests(self):
+        expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
+        assert len(expected) == 11 * 2 * 3
+        for key, digests in sorted(expected.items()):
+            name, salt, length = key.split("/")
+            trace = generate_trace(name, int(length), int(salt))
+            actual = {
+                column: hashlib.sha256(list_to_bytes(values, dtype)).hexdigest()
+                for (column, dtype), values in zip(INSTR_SECTIONS, _columns(trace))
+            }
+            assert actual == digests, key
+
+    def test_encoding_is_seeded_not_built(self):
+        trace = generate_trace("gcc", 500)
+        encoded = encode_trace(trace)
+        assert encoded.ops is None and encoded._addrs is None
+        assert encoded.instructions == 500
+        assert len(encoded) == sum(op in MEMORY_OPS for op in _columns(trace)[0])
+        assert all(isinstance(taken, bool) for taken in encoded.takens)
+
+    @pytest.mark.parametrize("bad", [2.5, 3.0, "10", None, True, False])
+    def test_rejects_non_integer_counts(self, bad):
+        with pytest.raises(TypeError, match="num_instructions"):
+            generate_trace("gcc", bad)
+
+    @settings(max_examples=15)
+    @given(
+        name=st.sampled_from(sorted(BENCHMARKS)),
+        salt=st.integers(0, 7),
+        n=st.integers(1, 5000),
+        extra=st.integers(0, 300),
+    )
+    def test_shorter_trace_is_a_prefix(self, name, salt, n, extra):
+        short = _columns(generate_trace(name, n, salt))
+        longer = _columns(generate_trace(name, n + extra, salt))
+        assert short == [column[:n] for column in longer]
+
+    @settings(max_examples=15)
+    @given(
+        name=st.sampled_from(sorted(BENCHMARKS)),
+        salt=st.integers(0, 7),
+        n=st.integers(1, 5000),
+    )
+    def test_instr_view_reencodes_to_the_seeded_columns(self, name, salt, n):
+        trace = generate_trace(name, n, salt)
+        source = Trace(trace.name, list(trace))
+        fresh = EncodedTrace(source)
+        fresh.ensure_instr_arrays(source)
+        assert [getattr(fresh, c) for c in COLUMNS] == _columns(trace)
+        mem_only = EncodedTrace(source)  # the chunked pass, not a derivation
+        assert mem_only.addrs == encode_trace(trace).addrs
+        assert mem_only.is_load == encode_trace(trace).is_load
+
+    @settings(max_examples=15)
+    @given(
+        name=st.sampled_from(sorted(BENCHMARKS)),
+        salt=st.integers(0, 7),
+        n=st.integers(1, 5000),
+        chunk=st.integers(1, 2000),
+    )
+    def test_trace_surface_agrees_with_columns(self, name, salt, n, chunk):
+        trace = generate_trace(name, n, salt)
+        ops, pcs, dsts, src1s, src2s, daddrs, takens, targets, xors = _columns(trace)
+        assert len(trace) == n
+        rows = [
+            (i.op, i.pc, i.dst, i.src1, i.src2, i.addr, i.taken, i.target, i.xor_handle)
+            for chunk_list in trace.iter_chunks(chunk)
+            for i in chunk_list
+        ]
+        assert rows == list(zip(ops, pcs, dsts, src1s, src2s, daddrs, takens, targets, xors))
+        for index in {0, n // 2, n - 1}:
+            assert (trace[index].op, trace[index].pc) == (ops[index], pcs[index])
+        summary = trace.summary()
+        assert summary.instructions == n
+        assert summary.loads == ops.count(OP_LOAD)
+        assert summary.stores == ops.count(OP_STORE)
+        assert summary.unique_load_pcs == len(
+            {pc for op, pc in zip(ops, pcs) if op == OP_LOAD}
+        )
+        assert summary.unique_blocks_touched == len({pc >> 5 for pc in pcs})
