@@ -18,13 +18,13 @@ backend tiers:
   table-state branch predictors of :mod:`repro.fastsim.predictors`,
   so ``mode="sim"`` runs batched end to end.
 * ``"vector"`` — the numpy kernel tier (:mod:`repro.fastsim.vector`)
-  for functional miss-rate runs: direct-mapped and LRU replays become
-  whole-stream gather/scatter classification, tree-PLRU a
-  round-partitioned batched state advance.  ``backend="fast"``
-  auto-upgrades to it when numpy is importable (opt out with
-  ``REPRO_NO_VECTOR=1``); policies whose victims are object-driven
-  (``fifo``/``random``, plugins) and environments without numpy fall
-  back to the python kernels silently and losslessly.
+  for functional miss-rate runs: direct-mapped, LRU and 2-way PLRU
+  replays become whole-stream gather/scatter classification.
+  ``backend="fast"`` auto-upgrades to it when numpy is importable (opt
+  out with ``REPRO_NO_VECTOR=1``).  :func:`resolve_tier` decides the
+  tier once from the run's config, so wider PLRU, ``fifo``/``random``,
+  plugin replacements and environments without numpy resolve to the
+  python kernels before anything runs, with identical results.
 
 The fast backend's contract is *byte-identical results*: the same
 :class:`~repro.sim.functional.MissRateResult` and the same

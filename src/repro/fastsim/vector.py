@@ -3,7 +3,7 @@
 The python fast tier (:mod:`repro.fastsim.missrate`) already replays a
 pre-encoded address stream in trace order, but still pays a Python-level
 loop iteration per access.  This module removes the per-access loop for
-the policies whose hit/miss outcome can be computed *offline*:
+the configurations whose hit/miss outcome can be computed *offline*:
 
 * **Direct-mapped** — an access hits iff the previous access to its set
   touched the same block.  One set-major sort puts every set's accesses
@@ -19,26 +19,16 @@ the policies whose hit/miss outcome can be computed *offline*:
   prefix-sum over 2-periodic positions resolves pure two-block
   alternation windows, and only the residue — a fraction of a percent
   of accesses on the paper's workloads — falls to an early-exit scalar
-  scan over the collapsed stream.
-* **Tree-PLRU** — genuinely stateful (victim choice depends on the
-  bit-tree left behind by every prior access), so it cannot be
-  classified offline.  Instead the collapsed stream is partitioned into
-  *rounds* — the k-th access of every set — and whole rounds advance a
-  ``(num_sets, ways)`` slot matrix and ``(num_sets, ways-1)`` bit-tree
-  matrix at once, walking the tree levels vectorially.  2-way tree-PLRU
-  *is* exact LRU (one bit pointing away from the last-used way), so
-  that case routes to the LRU kernel; heavily skewed streams, where
-  rounds degenerate to a handful of lanes each, fall back to the
-  python tier (see ``_PLRU_MIN_BATCH``).
+  scan over the collapsed stream.  2-way tree-PLRU *is* exact LRU (one
+  bit pointing away from the last-used way), so it runs here too.
 
-Everything else falls back **per policy** to
-:func:`~repro.fastsim.missrate.fast_miss_rate`: ``fifo``/``random``
-victims follow an object-driven order (the deterministic RNG stream of
-``random`` must advance exactly as the reference's does), and plugin
-replacement kinds have no array form at all.  The fallback — and the
-case where numpy is not importable — is silent and lossless because
-every tier is byte-identical by contract (enforced by the differential
-and golden suites).
+One predicate, :func:`serves`, names exactly those configurations, and
+:func:`resolve_tier` applies it to the run's config before anything
+executes: wider tree-PLRU, ``fifo``/``random`` (whose victims follow an
+object-driven order; ``random``'s RNG stream must advance exactly as
+the reference's does) and plugin replacement kinds resolve to the
+python tier, so the tier a cache key records is the tier that runs.
+:func:`vector_miss_rate` applies the same predicate for direct callers.
 
 Interval runs take the same single entry point: the tick walk runs
 inline over prefix sums of the static hit mask, speculating that no
@@ -77,6 +67,7 @@ __all__ = [
     "NO_VECTOR_ENV",
     "numpy_available",
     "resolve_tier",
+    "serves",
     "vector_enabled",
     "vector_miss_rate",
 ]
@@ -85,11 +76,6 @@ __all__ = [
 #: tier even when numpy is importable (``backend="fast"`` then stays on
 #: the python kernels, and ``backend="vector"`` falls back to them).
 NO_VECTOR_ENV = "REPRO_NO_VECTOR"
-
-#: Minimum collapsed accesses per PLRU round for the batched state
-#: advance to beat the python tier; thinner rounds mean the per-round
-#: numpy dispatch overhead dominates, so skewed streams fall back.
-_PLRU_MIN_BATCH = 32
 
 _Counts = Tuple[int, int, int, int]
 
@@ -104,21 +90,38 @@ def vector_enabled() -> bool:
     return np is not None and os.environ.get(NO_VECTOR_ENV, "0") in ("", "0")
 
 
-def resolve_tier(backend: str, mode: str = "missrate") -> str:
+def serves(associativity: int, replacement: str) -> bool:
+    """True when a vector kernel replays this d-cache configuration.
+
+    That is a direct-mapped cache (replacement never arbitrates), LRU,
+    or 2-way tree-PLRU (exact LRU).  Reads config fields only, so it
+    never raises: an unknown replacement name is left to the tier that
+    runs, which rejects it like every other tier does.
+    """
+    return (
+        associativity == 1
+        or replacement == "lru"
+        or (associativity == 2 and replacement == "plru")
+    )
+
+
+def resolve_tier(backend: str, mode: str, associativity: int, replacement: str) -> str:
     """The kernel tier a requested backend actually executes with.
 
     ``"fast"`` auto-upgrades to the vector kernels for miss-rate runs
-    when they are enabled; ``"vector"`` silently degrades to the python
-    kernels when they are not (no numpy, or :data:`NO_VECTOR_ENV` set).
-    Full-sim mode always resolves to the array-state python pipeline —
-    energy accumulation stays a scalar pass so float-addition order is
-    bit-identical to the reference.
+    when they are enabled and :func:`serves` the run's d-cache
+    ``associativity`` and ``replacement``; ``"vector"`` degrades to the
+    python kernels otherwise (no numpy, :data:`NO_VECTOR_ENV` set, or a
+    configuration no vector kernel replays).  Full-sim mode always
+    resolves to the array-state python pipeline — energy accumulation
+    stays a scalar pass so float-addition order is bit-identical to the
+    reference.
     """
     if backend == "reference":
         return "reference"
     if mode != "missrate":
         return "fast"
-    return "vector" if vector_enabled() else "fast"
+    return "vector" if vector_enabled() and serves(associativity, replacement) else "fast"
 
 
 def vector_miss_rate(
@@ -133,9 +136,11 @@ def vector_miss_rate(
     """Vectorized equivalent of
     :func:`~repro.sim.functional.measure_miss_rate`.
 
-    Falls back to :func:`~repro.fastsim.missrate.fast_miss_rate` — per
-    policy, per stream shape, or wholesale when the tier is disabled —
-    whenever no vector kernel applies; results are identical either way.
+    Runs :func:`~repro.fastsim.missrate.fast_miss_rate` instead when
+    the tier is disabled or :func:`serves` rejects the configuration
+    (the runner never dispatches such a run here), and when the stream
+    would overflow the packed sort key; results are identical either
+    way.
 
     Ticking runs (``interval > 0`` with a ``policy_factory``) replay
     speculatively.  The kernels classify the whole stream against a
@@ -147,6 +152,11 @@ def vector_miss_rate(
     reruns from the start with a fresh policy — every tick before the
     divergence replays identically, so the fallback is lossless.
     """
+    if not (vector_enabled() and serves(geometry.associativity, replacement)):
+        return fast_miss_rate(
+            trace, geometry, replacement, warmup_fraction,
+            interval=interval, policy_factory=policy_factory,
+        )
     check_replay_args(warmup_fraction, interval)
     encoded = trace if isinstance(trace, EncodedTrace) else encode_trace(trace)
     hits = _vector_hits(encoded, geometry, replacement)
@@ -175,38 +185,28 @@ def _vector_hits(encoded: EncodedTrace, geometry: CacheGeometry, replacement: st
     """Per-position hit mask over the whole stream, or ``None``.
 
     :func:`vector_miss_rate` folds the mask with :func:`_tally` and,
-    when ticking, walks its prefix sums.  ``None`` means no vector
-    kernel applies and the python tier must run.
+    when ticking, walks its prefix sums.  ``None`` means the stream is
+    too long, or the cache too wide, for the packed sort key, and the
+    python tier must run.
     """
-    if not vector_enabled():
-        return None
     num_sets = geometry.num_sets
     assoc = geometry.associativity
     if num_sets > (1 << 32):
         return None  # set index would overflow the packed sort key
     blocks = encoded.blocks_np(geometry.fields)
-    if int(blocks.shape[0]) >= (1 << 32):
-        return None  # position would overflow the packed sort key
     n = int(blocks.shape[0])
+    if n >= (1 << 32):
+        return None  # position would overflow the packed sort key
     if assoc == 1:
         # Replacement never arbitrates a direct-mapped cache, but an
         # unknown name must still raise exactly like the other tiers.
         make_replacement(replacement, 1)
-        if n == 0:
-            return np.zeros(0, dtype=bool)
         return _direct_mapped(blocks, num_sets)
-    if replacement == "plru":
-        # Validates power-of-two associativity like the reference does.
-        make_replacement(replacement, assoc)
-    elif replacement != "lru":
-        return None  # fifo/random/plugins: object-driven python tier
     if n == 0:
         return np.zeros(0, dtype=bool)
-    if replacement == "lru" or assoc == 2:
-        # A 2-way PLRU tree is exact LRU: its single bit always points
-        # at the less recently used way.
-        return _lru(blocks, num_sets, assoc)
-    return _plru(blocks, num_sets, assoc)
+    # LRU, or a 2-way PLRU tree: its single bit always points at the
+    # less recently used way, so it is exact LRU.
+    return _lru(blocks, num_sets, assoc)
 
 
 # ------------------------------------------------------------------ #
@@ -356,107 +356,3 @@ def _scan_unresolved(collapsed, prev, unresolved, assoc: int, hit) -> None:
                 break
             j -= 1
         hit[k] = is_hit
-
-
-# ------------------------------------------------------------------ #
-# Tree-PLRU (round-partitioned state advance)
-# ------------------------------------------------------------------ #
-
-
-def _plru(blocks, num_sets: int, assoc: int):
-    """Advance all sets' tree state one occurrence-rank at a time.
-
-    Repeated same-block accesses are hits that re-touch the same way,
-    and a tree-PLRU touch is idempotent, so the state walk runs over
-    the collapsed stream only; run tails are unconditional hits.  In
-    round k every set contributes at most its k-th collapsed access, so
-    a round's accesses touch disjoint sets and one batched
-    lookup/victim/touch over a ``(num_sets, ways)`` slot matrix and a
-    ``(num_sets, ways-1)`` bit matrix is exact.  Returns ``None`` when
-    the stream is too skewed for rounds to pay for themselves.
-    """
-    n = blocks.shape[0]
-    index = blocks & np.uint64(num_sets - 1)
-    key = (index << np.uint64(32)) | np.arange(n, dtype=np.uint64)
-    key.sort()
-    order = (key & np.uint64(0xFFFFFFFF)).astype(np.int64)
-    set_ids = (key >> np.uint64(32)).astype(np.int64)
-    sorted_blocks = blocks[order]
-    run_start = np.empty(n, dtype=bool)
-    run_start[0] = True
-    np.not_equal(sorted_blocks[1:], sorted_blocks[:-1], out=run_start[1:])
-    hits_sorted = ~run_start
-
-    collapsed_pos = np.flatnonzero(run_start)
-    collapsed_sets = set_ids[collapsed_pos]
-    m = collapsed_pos.shape[0]
-    # Occurrence rank of each collapsed access within its set.
-    set_start = np.empty(m, dtype=bool)
-    set_start[0] = True
-    np.not_equal(collapsed_sets[1:], collapsed_sets[:-1], out=set_start[1:])
-    start_index = np.maximum.accumulate(
-        np.where(set_start, np.arange(m, dtype=np.int64), 0)
-    )
-    rank = np.arange(m, dtype=np.int64) - start_index
-    rounds = int(rank.max()) + 1
-    if m < rounds * _PLRU_MIN_BATCH:
-        return None  # rounds too thin: python tier wins
-
-    # Compact block ids so the slot matrix stores small ints.
-    block_ids = np.unique(sorted_blocks[collapsed_pos], return_inverse=True)[1]
-    block_ids = block_ids.astype(np.int64)
-    # Round buckets: rank-major, collapsed order within a rank.
-    round_key = (rank.astype(np.uint64) << np.uint64(32)) | np.arange(m, dtype=np.uint64)
-    round_key.sort()
-    round_order = (round_key & np.uint64(0xFFFFFFFF)).astype(np.int64)
-    bounds = np.empty(rounds + 1, dtype=np.int64)
-    bounds[0] = 0
-    np.cumsum(np.bincount(rank, minlength=rounds), out=bounds[1:])
-
-    slots = np.full((num_sets, assoc), -1, dtype=np.int64)
-    bits = np.zeros((num_sets, assoc - 1), dtype=np.int8)
-    collapsed_hit = np.empty(m, dtype=bool)
-    for k in range(rounds):
-        chosen = round_order[bounds[k]:bounds[k + 1]]
-        sets = collapsed_sets[chosen]
-        wanted = block_ids[chosen]
-        rows = np.arange(sets.shape[0])
-        ways = slots[sets]
-        match = ways == wanted[:, None]
-        hit = match.any(axis=1)
-        invalid = ways == -1
-        has_invalid = invalid.any(axis=1)
-        # Victim walk over the pre-touch tree (bit 0 points left).
-        tree = bits[sets]
-        node = np.zeros(sets.shape[0], dtype=np.int64)
-        base = np.zeros(sets.shape[0], dtype=np.int64)
-        span = assoc
-        while span > 1:
-            span //= 2
-            right = tree[rows, node] != 0
-            node = 2 * node + np.where(right, 2, 1)
-            base += np.where(right, span, 0)
-        # Lookup first, lowest invalid way next, tree victim last —
-        # the CacheSet order exactly.
-        way = np.where(
-            hit, match.argmax(axis=1), np.where(has_invalid, invalid.argmax(axis=1), base)
-        )
-        ways[rows, way] = wanted  # no-op for hits: that way holds the block
-        slots[sets] = ways
-        # Touch walk: each level's bit points away from the used side.
-        node[:] = 0
-        base[:] = 0
-        span = assoc
-        while span > 1:
-            span //= 2
-            left = way < base + span
-            tree[rows, node] = np.where(left, 1, 0)
-            node = 2 * node + np.where(left, 1, 2)
-            base += np.where(left, 0, span)
-        bits[sets] = tree
-        collapsed_hit[chosen] = hit
-
-    hits_sorted[collapsed_pos] = collapsed_hit
-    hits = np.empty(n, dtype=bool)
-    hits[order] = hits_sorted
-    return hits

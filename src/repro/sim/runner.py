@@ -10,10 +10,12 @@ sim points through the array-state core/fetch/engine pipeline of
 :mod:`repro.fastsim`; ``"vector"`` runs miss-rate points through the
 numpy kernels (:mod:`repro.fastsim.vector`) and sim points through the
 same fast pipeline.  All tiers are byte-identical to ``"reference"`` by
-contract, and resolution is dynamic (:func:`repro.fastsim.resolve_tier`):
-``"fast"`` auto-upgrades miss-rate runs to the vector kernels when
-numpy is importable, ``"vector"`` silently degrades without it, and
-``REPRO_NO_VECTOR=1`` pins both to the python kernels.
+contract, and one decision per run picks the tier
+(:func:`repro.fastsim.resolve_tier`): a miss-rate run on ``"fast"`` or
+``"vector"`` takes the vector kernels when numpy is importable and they
+serve its d-cache (direct-mapped, LRU, or 2-way PLRU), and the python
+kernels otherwise; ``REPRO_NO_VECTOR=1`` pins both to the python
+kernels.  The cache key records the tier so decided.
 One frozen :class:`RunSpec` names a run everywhere: it is the argument
 of every primitive below, the sweep engine's worker payload, and the
 source of the cache key.  The engine composes the primitives directly:
@@ -461,6 +463,14 @@ class RunSpec:
         )
 
 
+def _tier(run: RunSpec) -> str:
+    """The kernel tier ``run`` executes on: the one decision both
+    :func:`cache_key` and :func:`execute` read."""
+    return resolve_tier(
+        run.backend, run.mode, run.config.dcache.associativity, run.config.replacement
+    )
+
+
 def cache_key(run: RunSpec) -> str:
     """Stable cache key for one run (includes the result-schema version).
 
@@ -472,10 +482,12 @@ def cache_key(run: RunSpec) -> str:
     benchmark name with :func:`workload_id`, folding the content
     fingerprint of file-backed (``trace://``) workloads into every key.
     The v5->v6 bump adds the *resolved* kernel tier next to the
-    requested backend: backend resolution is environment-dependent
+    requested backend: backend resolution depends on the environment
     (``"fast"`` auto-upgrades to the vector kernels when numpy is
-    importable), so the tier that actually executed must be part of
-    the entry's identity for the same provenance reason.  The v7->v8
+    importable) and on the d-cache config (only the configurations
+    :func:`repro.fastsim.vector.serves` names run on them), so the tier
+    that actually executed must be part of the entry's identity for the
+    same provenance reason.  The v7->v8
     bump embeds the tick period (``static`` when 0): a dynamic policy's
     behaviour is a function of the interval, so the same config at two
     intervals is two distinct runs (the policy's own parameters already
@@ -485,7 +497,7 @@ def cache_key(run: RunSpec) -> str:
     """
     payload = (
         f"{workload_id(run.benchmark)}|{run.config.key()}|{run.instructions}"
-        f"|{run.salt}|{run.mode}|{run.backend}|{resolve_tier(run.backend, run.mode)}"
+        f"|{run.salt}|{run.mode}|{run.backend}|{_tier(run)}"
         f"|{_interval_token(run.interval)}|v9:{SCHEMA_VERSION}"
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
@@ -648,7 +660,7 @@ def execute(run: RunSpec) -> SimResult:
     config = run.config
     if run.mode == "sim":
         return Simulator(config, backend=run.backend, interval=run.interval).run(trace)
-    measured = _MISSRATE_MEASURES[resolve_tier(run.backend, run.mode)](
+    measured = _MISSRATE_MEASURES[_tier(run)](
         trace, config.dcache.geometry(), replacement=config.replacement,
         interval=run.interval, policy_factory=_dynamic_policy_factory(run),
     )

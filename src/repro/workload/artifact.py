@@ -144,14 +144,6 @@ class TraceArtifact:
         nbytes = count * DTYPE_SIZES[dtype]
         return memoryview(self._buffer)[offset:offset + nbytes]
 
-    def block_sizes(self) -> Tuple[int, ...]:
-        """``offset_bits`` of every stored per-block-size decode."""
-        return tuple(
-            int(name.split(":", 1)[1])
-            for name in self._sections
-            if name.startswith("blocks:")
-        )
-
 
 def _validate_sections(sections: Dict[str, Tuple[str, int, int]]) -> bool:
     """Reject incoherent section groups (a malformed file could

@@ -49,9 +49,8 @@ requested, and an artifact publish writes only built streams.
 
 When numpy is importable, the memory-op stream is additionally exposed
 as numpy arrays (:meth:`EncodedTrace.addrs_np`,
-:meth:`EncodedTrace.is_load_np`, and the per-geometry
-:meth:`EncodedTrace.blocks_np` / :meth:`EncodedTrace.set_indices_np` /
-:meth:`EncodedTrace.tags_np` decodes) for the vector kernel tier
+:meth:`EncodedTrace.is_load_np`, and the per-block-size
+:meth:`EncodedTrace.blocks_np` decode) for the vector kernel tier
 (:mod:`repro.fastsim.vector`).  The base views are zero-copy
 ``frombuffer`` wrappers over the ``array`` storage — the streaming
 memory bound survives untouched — and every view is marked
@@ -65,7 +64,7 @@ from array import array
 from functools import partial
 from typing import Dict, List, Optional, Tuple
 
-from repro.utils.bitops import AddressFields, bit_mask
+from repro.utils.bitops import AddressFields
 from repro.workload.instr import OP_LOAD, OP_STORE, Instr
 from repro.workload.trace import StreamingTrace, Trace
 
@@ -405,42 +404,6 @@ class EncodedTrace:
                 blocks.flags.writeable = False
             self._np_cache[key] = blocks
         return blocks
-
-    def set_indices_np(self, fields: AddressFields):
-        """Set-index stream as a read-only ``uint64`` array.
-
-        Memoized per (block size, set count); the kernels themselves
-        derive indices inline as ``block & (num_sets - 1)``, so this
-        decode only materializes when asked for.
-
-        Raises:
-            RuntimeError: numpy is not importable.
-        """
-        self._require_numpy()
-        key = ("sets", fields.offset_bits, fields.index_bits)
-        indices = self._np_cache.get(key)
-        if indices is None:
-            indices = self.blocks_np(fields) & _np.uint64(bit_mask(fields.index_bits))
-            indices.flags.writeable = False
-            self._np_cache[key] = indices
-        return indices
-
-    def tags_np(self, fields: AddressFields):
-        """Tag stream as a read-only ``uint64`` array, memoized per
-        total (offset + index) shift.
-
-        Raises:
-            RuntimeError: numpy is not importable.
-        """
-        self._require_numpy()
-        shift = fields.offset_bits + fields.index_bits
-        key = ("tags", shift)
-        tags = self._np_cache.get(key)
-        if tags is None:
-            tags = self.addrs_np() >> _np.uint64(shift)
-            tags.flags.writeable = False
-            self._np_cache[key] = tags
-        return tags
 
     # -------------------------------------------------------------- #
     # Instruction stream

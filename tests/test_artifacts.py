@@ -471,5 +471,5 @@ class TestArtifactStats:
         assert isinstance(artifact, TraceArtifact)
         assert artifact.dtype("addrs") == "Q"
         assert artifact.count("addrs") == len(encoded)
-        assert artifact.block_sizes() == (GEOMETRY.fields.offset_bits,)
+        assert artifact.has(f"blocks:{GEOMETRY.fields.offset_bits}")
         assert set(artifact.section_names()) >= {"addrs", "is_load", "ops"}

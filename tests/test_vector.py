@@ -7,14 +7,15 @@ The vector tier's contract has three legs, each pinned here:
   fast tier return, for every replacement policy, associativity, and
   warmup edge (with the differential Hypothesis suite adding the
   generative counterpart in ``test_differential.py``).
-* **Graceful degradation** — without numpy, or under the
-  ``REPRO_NO_VECTOR`` opt-out, every entry point silently resolves to
-  the python tier with identical results; nothing anywhere requires
-  numpy to import.
+* **Graceful degradation** — without numpy, under the
+  ``REPRO_NO_VECTOR`` opt-out, or for a d-cache no vector kernel
+  replays, every entry point resolves to the python tier with identical
+  results; nothing anywhere requires numpy to import.
 * **Plumbing** — :class:`EncodedTrace` numpy views are zero-copy,
   read-only, memoized, and chunk-construction-equal to eager; runner
-  dispatch and the v6 cache key track the *resolved* tier; results
-  stay plain-int (JSON-serializable) whatever tier produced them.
+  dispatch and the cache key name the same *resolved* tier, and it is
+  the tier that runs; results stay plain-int (JSON-serializable)
+  whatever tier produced them.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ requires_numpy = pytest.mark.skipif(not numpy_available(), reason="numpy unavail
 
 
 def _balanced_trace(sets: int = 64, length: int = 6_000) -> Trace:
-    """A stream visiting every set evenly (the PLRU rounds sweet spot),
-    with a deterministic LCG supplying tag/op variety."""
+    """A stream visiting every set evenly, with a deterministic LCG
+    supplying tag/op variety."""
     state = 12345
     instrs = []
     for i in range(length):
@@ -60,16 +61,6 @@ def _balanced_trace(sets: int = 64, length: int = 6_000) -> Trace:
         op = OP_LOAD if (state >> 7) % 3 else OP_STORE
         instrs.append(Instr(0x1000 + 4 * i, op, dst=1, addr=addr))
     return Trace("balanced", instrs)
-
-
-def _skewed_trace(length: int = 600) -> Trace:
-    """Every access lands in one set: rounds degenerate to width one."""
-    instrs = [
-        Instr(0x1000 + 4 * i, OP_LOAD if i % 2 else OP_STORE, dst=1,
-              addr=(i % 7) << 16)
-        for i in range(length)
-    ]
-    return Trace("skewed", instrs)
 
 
 # ------------------------------------------------------------------ #
@@ -82,29 +73,54 @@ class TestTierResolution:
         assert BACKENDS == ("reference", "fast", "vector")
 
     def test_reference_never_resolves_away(self):
-        assert resolve_tier("reference", "missrate") == "reference"
-        assert resolve_tier("reference", "sim") == "reference"
+        assert resolve_tier("reference", "missrate", 4, "lru") == "reference"
+        assert resolve_tier("reference", "sim", 4, "lru") == "reference"
 
     def test_sim_mode_always_runs_the_fast_pipeline(self):
-        assert resolve_tier("fast", "sim") == "fast"
-        assert resolve_tier("vector", "sim") == "fast"
+        assert resolve_tier("fast", "sim", 4, "lru") == "fast"
+        assert resolve_tier("vector", "sim", 4, "lru") == "fast"
 
     @requires_numpy
     def test_fast_auto_upgrades_for_missrate(self):
-        assert resolve_tier("fast", "missrate") == "vector"
-        assert resolve_tier("vector", "missrate") == "vector"
+        assert resolve_tier("fast", "missrate", 4, "lru") == "vector"
+        assert resolve_tier("vector", "missrate", 4, "lru") == "vector"
 
     def test_env_opt_out_pins_python_kernels(self, monkeypatch):
         monkeypatch.setenv(NO_VECTOR_ENV, "1")
         assert not vector_enabled()
-        assert resolve_tier("fast", "missrate") == "fast"
-        assert resolve_tier("vector", "missrate") == "fast"
+        assert resolve_tier("fast", "missrate", 4, "lru") == "fast"
+        assert resolve_tier("vector", "missrate", 4, "lru") == "fast"
 
     def test_without_numpy_vector_degrades(self, monkeypatch):
         monkeypatch.setattr(vector_module, "np", None)
         assert not numpy_available()
         assert not vector_enabled()
-        assert resolve_tier("vector", "missrate") == "fast"
+        assert resolve_tier("vector", "missrate", 4, "lru") == "fast"
+
+    @requires_numpy
+    @pytest.mark.parametrize(
+        "assoc, replacement, tier",
+        [
+            (1, "lru", "vector"),
+            (1, "plru", "vector"),
+            (1, "fifo", "vector"),
+            (1, "random", "vector"),
+            (2, "lru", "vector"),
+            (2, "plru", "vector"),
+            (8, "lru", "vector"),
+            (2, "fifo", "fast"),
+            (4, "plru", "fast"),
+            (8, "plru", "fast"),
+            (4, "random", "fast"),
+            (4, "some-plugin", "fast"),
+        ],
+    )
+    def test_config_decides_the_missrate_tier(self, assoc, replacement, tier):
+        assert vector_module.serves(assoc, replacement) == (tier == "vector")
+        for backend in ("fast", "vector"):
+            assert resolve_tier(backend, "missrate", assoc, replacement) == tier
+            assert resolve_tier(backend, "sim", assoc, replacement) == "fast"
+        assert resolve_tier("reference", "missrate", assoc, replacement) == "reference"
 
 
 # ------------------------------------------------------------------ #
@@ -136,16 +152,9 @@ class TestEncodedViews:
         encoded = encode_trace(generate_trace("swim", 2_000))
         fields = self.GEOMETRY.fields
         blocks = encoded.blocks_np(fields)
-        sets = encoded.set_indices_np(fields)
-        tags = encoded.tags_np(fields)
-        mask = (1 << fields.index_bits) - 1
-        shift = fields.offset_bits + fields.index_bits
         assert blocks.tolist() == encoded.blocks(fields)
-        assert sets.tolist() == [b & mask for b in encoded.blocks(fields)]
-        assert tags.tolist() == [a >> shift for a in encoded.addrs]
         assert encoded.blocks_np(fields) is blocks  # memoized per shift
-        for view in (blocks, sets, tags):
-            assert not view.flags.writeable
+        assert not blocks.flags.writeable
 
     def test_chunkwise_construction_equals_eager(self):
         import numpy as np
@@ -174,9 +183,8 @@ def test_views_raise_cleanly_without_numpy(monkeypatch):
     for build in (encoded.addrs_np, encoded.is_load_np):
         with pytest.raises(RuntimeError, match="numpy is not importable"):
             build()
-    for build in (encoded.blocks_np, encoded.set_indices_np, encoded.tags_np):
-        with pytest.raises(RuntimeError, match="numpy is not importable"):
-            build(fields)
+    with pytest.raises(RuntimeError, match="numpy is not importable"):
+        encoded.blocks_np(fields)
 
 
 # ------------------------------------------------------------------ #
@@ -211,10 +219,11 @@ class TestVectorMissRate:
             vector_miss_rate(trace, geometry, replacement="bogus")
 
     def test_empty_trace(self):
-        geometry = CacheGeometry(1024, 4, 32)
-        for replacement in ("lru", "plru", "fifo"):
-            reference = measure_miss_rate(Trace("e", []), geometry, replacement)
-            assert vector_miss_rate(Trace("e", []), geometry, replacement) == reference
+        for assoc in (1, 2, 4):
+            geometry = CacheGeometry(1024 * assoc, assoc, 32)
+            for replacement in ("lru", "plru", "fifo"):
+                reference = measure_miss_rate(Trace("e", []), geometry, replacement)
+                assert vector_miss_rate(Trace("e", []), geometry, replacement) == reference
 
     def test_opt_out_is_lossless(self, monkeypatch):
         trace = generate_trace("mgrid", 4_000)
@@ -222,35 +231,6 @@ class TestVectorMissRate:
         baseline = measure_miss_rate(trace, geometry, "lru", 0.2)
         monkeypatch.setenv(NO_VECTOR_ENV, "1")
         assert vector_miss_rate(trace, geometry, "lru", 0.2) == baseline
-
-    @requires_numpy
-    def test_plru_rounds_kernel_engages_on_balanced_streams(self):
-        trace = _balanced_trace(sets=64)
-        geometry = CacheGeometry(8 * 1024, 4, 32)  # 64 sets
-        encoded = encode_trace(trace)
-        blocks = encoded.blocks_np(geometry.fields)
-        warmup = int(blocks.shape[0] * 0.2)
-        hits = vector_module._plru(blocks, geometry.num_sets, 4)
-        assert hits is not None, "rounds kernel unexpectedly hit the skew guard"
-        counts = vector_module._tally(hits, encoded.is_load_np(), warmup)
-        reference = measure_miss_rate(trace, geometry, "plru", 0.2)
-        assert counts == (
-            reference.accesses,
-            reference.misses,
-            reference.load_accesses,
-            reference.load_misses,
-        )
-
-    @requires_numpy
-    def test_plru_skew_guard_falls_back_correctly(self):
-        trace = _skewed_trace()
-        geometry = CacheGeometry(32 * 1024, 4, 32)  # 256 sets, one used
-        encoded = encode_trace(trace)
-        blocks = encoded.blocks_np(geometry.fields)
-        hits = vector_module._plru(blocks, geometry.num_sets, 4)
-        assert hits is None  # guard tripped: rounds of width one
-        reference = measure_miss_rate(trace, geometry, "plru", 0.2)
-        assert vector_miss_rate(trace, geometry, "plru", 0.2) == reference
 
     @requires_numpy
     def test_plru_two_way_routes_to_the_lru_kernel(self):
@@ -319,3 +299,45 @@ class TestRunnerIntegration:
             for backend in BACKENDS
         }
         assert len(keys) == len(BACKENDS)
+
+
+def _recorder(calls, name, func):
+    """``func``, appending ``name`` to ``calls`` on every call."""
+    def record(*args, **kwargs):
+        calls.append(name)
+        return func(*args, **kwargs)
+    return record
+
+
+@requires_numpy
+class TestDispatchProvenance:
+    """The tier a static miss-rate run's cache key names is the tier
+    whose function ran, and the vector tier never hands a static run
+    on to the python kernels."""
+
+    @pytest.mark.parametrize("backend", ["fast", "vector"])
+    @pytest.mark.parametrize("replacement", ["lru", "plru", "fifo", "random"])
+    @pytest.mark.parametrize("assoc", [1, 2, 4, 8])
+    def test_the_key_names_the_tier_that_ran(self, monkeypatch, assoc, replacement, backend):
+        ran, handed_on, keyed = [], [], []
+        for tier, measure in list(runner._MISSRATE_MEASURES.items()):
+            monkeypatch.setitem(runner._MISSRATE_MEASURES, tier,
+                                _recorder(ran, tier, measure))
+        monkeypatch.setattr(vector_module, "fast_miss_rate",
+                            _recorder(handed_on, "fast", fast_miss_rate))
+        resolve = runner.resolve_tier
+
+        def spy(*args, **kwargs):
+            keyed.append(resolve(*args, **kwargs))
+            return keyed[-1]
+
+        monkeypatch.setattr(runner, "resolve_tier", spy)
+        config = SystemConfig(replacement=replacement).with_dcache(associativity=assoc)
+        run = RunSpec("gcc", config, 3_000, mode="missrate", backend=backend)
+        run.key()
+        key_tier = keyed[-1]
+        result = runner.execute(run)
+        assert ran == [key_tier]
+        assert handed_on == []
+        reference = runner.execute(dataclasses.replace(run, backend="reference"))
+        assert result.to_flat() == reference.to_flat()
