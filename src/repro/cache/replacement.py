@@ -115,22 +115,6 @@ class PlruTreeReplacement(ReplacementPolicy):
         # Internal nodes of a complete binary tree with `associativity` leaves.
         self._bits: List[int] = [0] * max(associativity - 1, 1)
 
-    def _leaf_path(self, way: int) -> List[int]:
-        """Return the internal-node indices on the root-to-leaf path."""
-        path = []
-        node = 0
-        span = self.associativity
-        base = 0
-        while span > 1:
-            path.append(node)
-            span //= 2
-            if way < base + span:
-                node = 2 * node + 1
-            else:
-                node = 2 * node + 2
-                base += span
-        return path
-
     def touch(self, way: int) -> None:
         if self.associativity == 1:
             return None

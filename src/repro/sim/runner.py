@@ -339,9 +339,10 @@ def ensure_artifact(
 ) -> Optional[Path]:
     """Build-or-load the workload's artifact now; return its path.
 
-    The sweep engine calls this in the parent before fanning a pool
-    out, so every worker process opens the finished artifact instead of
-    re-parsing and re-encoding.  ``mode="sim"`` additionally persists the full
+    A sweep pool task calls this in the worker that owns the workload,
+    before running its points; the artifact then serves later processes
+    (service restarts, later CLI runs) without re-parsing or
+    re-encoding.  ``mode="sim"`` additionally persists the full
     instruction arrays; for an artifact-backed encoding both forces are
     O(1), so re-ensuring is free.
     """

@@ -5,28 +5,29 @@ Execution policy lives here and only here.  The engine:
 1. resolves each run (specs arrive already de-duplicated) against the
    runner's in-process/on-disk caches (recorded as ``cache_hits``);
 2. executes the misses — serially for ``jobs == 1`` (the deterministic
-   in-process path tests rely on), or fanned out over a
-   ``ProcessPoolExecutor`` for ``jobs > 1``;
+   in-process path tests rely on), or for ``jobs > 1`` as per-workload
+   slices over a ``ProcessPoolExecutor``: the worker that owns a slice
+   builds its trace and artifact, then runs its points;
 3. publishes each fresh result into the caches from the parent process
-   as it lands (single writer, so concurrent sweeps never race on disk,
-   and completed work survives an interrupted sweep);
+   as its task lands (single writer, so concurrent sweeps never race on
+   disk, and completed work survives an interrupted sweep);
 4. returns a :class:`~repro.sweep.result.SweepResult` keyed by spec.
 
-Results are keyed by *what ran*, never by completion order, so the same
-spec yields byte-identical exports at any job count.  If a process pool
-cannot be created (restricted sandboxes, missing ``fork``), the engine
-degrades to serial execution instead of failing.
+Pool progress events arrive in task-completion order, with the done
+count still monotonic.  Results are keyed by *what ran*, never by
+completion order, so the same spec yields byte-identical exports at any
+job count.  If a process pool cannot be created (restricted sandboxes),
+the engine degrades to serial execution instead of failing.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from pickle import PicklingError
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.sim import runner
 from repro.sim.results import SimResult
@@ -178,64 +179,72 @@ class SweepEngine:
     def _execute_pool(
         self, pending: List[RunSpec], report: _ProgressReporter
     ) -> Tuple[List[Tuple[RunSpec, SimResult]], List[RunSpec]]:
-        """Fan out over a process pool.
+        """Fan per-workload slices (:func:`_workload_tasks`) out over a
+        process pool.  Each task's results are stored and reported as it
+        finishes, so progress arrives in completion order.
 
         Returns ``(completed, remaining)``: ``remaining`` is non-empty
-        only when the pool infrastructure itself failed (fork
-        unavailable, workers killed, unpicklable payload) — those runs
+        only when the pool infrastructure itself failed (no worker
+        processes, workers killed, unpicklable payload) — those runs
         fall back to serial execution without losing completed work.  A
         simulation error raised *inside* a worker propagates unchanged;
         results completed before it are already cached.
         """
-        # Generate every distinct trace once in the parent: forked workers
-        # inherit the memo for free (copy-on-write), and a trace is shared
-        # by every config that runs the same application.  Under spawn
-        # (macOS/Windows) workers inherit nothing, so skip the serial
-        # parent phase and let each worker build its own traces.
-        fork = multiprocessing.get_start_method() == "fork"
-        workload_runs: "dict" = {}
-        for run in pending:
-            workload_runs.setdefault(
-                (run.benchmark, run.instructions, run.salt), []
-            ).append(run)
-        for (benchmark, instructions, salt), workload in workload_runs.items():
-            if fork:
-                runner.get_trace(benchmark, instructions, salt)
-            # Publish the encoded-trace artifact before fanning out:
-            # every worker — forked or spawned — then mmaps the one
-            # on-disk encoding instead of re-encoding (or, for spawn,
-            # re-parsing) privately.  The reference tier requests no
-            # encoding, so reference-only workloads skip this.
-            accelerated = [r for r in workload if r.backend != "reference"]
-            if accelerated:
-                runner.ensure_artifact(
-                    benchmark, instructions, salt,
-                    mode="sim" if any(r.mode == "sim" for r in accelerated)
-                    else "missrate",
-                )
-        # Dispatch grouped by benchmark so that on spawn-based platforms
-        # (no inherited memo) each worker still reuses its own traces.
-        ordered = sorted(
-            pending, key=lambda run: (run.benchmark, run.instructions, run.salt)
-        )
-        # Chunks balance trace locality (same-benchmark specs cluster)
-        # against load balancing (several chunks per worker).
         workers = min(self.jobs, len(pending))
-        chunksize = max(1, len(ordered) // (workers * 4))
         out: List[Tuple[RunSpec, SimResult]] = []
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = pool.map(runner.execute, ordered, chunksize=chunksize)
-                for index, sim_result in enumerate(results):
-                    self._store(ordered[index], sim_result)
-                    out.append((ordered[index], sim_result))
-                    report(ordered[index], False)
+                futures = [
+                    pool.submit(_run_workload, task)
+                    for task in _workload_tasks(pending, workers)
+                ]
+                for future in as_completed(futures):
+                    for run, sim_result in future.result():
+                        self._store(run, sim_result)
+                        out.append((run, sim_result))
+                        report(run, False)
                 return out, []
         except (OSError, BrokenProcessPool, PicklingError, ImportError):
-            # Pool infrastructure failed (e.g. fork unavailable in a
+            # Pool infrastructure failed (e.g. no worker processes in a
             # restricted sandbox); hand the unfinished runs back.
             completed = {run for run, _ in out}
-            return out, [run for run in ordered if run not in completed]
+            return out, [run for run in pending if run not in completed]
+
+
+def _workload_tasks(pending: List[RunSpec], workers: int) -> List[List[RunSpec]]:
+    """Cut ``pending`` into pool tasks that never span two workloads.
+
+    Runs are grouped by workload ``(benchmark, instructions, salt)`` in
+    spec order, and each group is cut into slices of at most
+    ``ceil(len(pending) / workers)`` runs, so a one-workload sweep still
+    keeps every worker busy.
+    """
+    bound = -(-len(pending) // workers)
+    groups: Dict[Tuple[str, int, int], List[RunSpec]] = {}
+    for run in pending:
+        groups.setdefault((run.benchmark, run.instructions, run.salt), []).append(run)
+    return [
+        group[start:start + bound]
+        for group in groups.values()
+        for start in range(0, len(group), bound)
+    ]
+
+
+def _run_workload(runs: List[RunSpec]) -> List[Tuple[RunSpec, SimResult]]:
+    """Pool task: build the workload's trace and artifact, run the points.
+
+    The reference tier requests no encoding, so reference-only tasks
+    publish no artifact.
+    """
+    accelerated = [run for run in runs if run.backend != "reference"]
+    if accelerated:
+        first = runs[0]
+        runner.ensure_artifact(
+            first.benchmark, first.instructions, first.salt,
+            mode="sim" if any(run.mode == "sim" for run in accelerated)
+            else "missrate",
+        )
+    return [(run, runner.execute(run)) for run in runs]
 
 
 def default_engine() -> SweepEngine:

@@ -1,7 +1,11 @@
 """Sweep subsystem tests: specs, engine determinism, caching, export."""
 
 import json
+import subprocess
+import sys
+import textwrap
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +14,7 @@ from repro.sim.config import SystemConfig
 from repro.sim.functional import measure_miss_rate
 from repro.sim.results import CoreMetrics, EnergyMetrics, L1Metrics, SimResult
 from repro.sweep.analyze import DesignPoint, design_space_spec, render_summaries, summarize
-from repro.sweep.engine import SweepEngine, default_jobs
+from repro.sweep.engine import SweepEngine, _workload_tasks, default_jobs
 from repro.sweep.result import SweepResult, SweepStats
 from repro.sweep.spec import RunSpec, SweepSpec
 
@@ -191,6 +195,86 @@ class TestEngineAccounting:
         stats = SweepStats(unique=4, cache_hits=1, executed=3, jobs=2)
         text = stats.describe()
         assert "1 cached" in text and "3 executed" in text
+
+
+class TestWorkloadPool:
+    @staticmethod
+    def runs(benchmarks, per_workload, salts=(0,)):
+        configs = [SystemConfig().with_dcache(size_kb=2 ** k) for k in range(per_workload)]
+        return [
+            RunSpec(benchmark, config, INSTRUCTIONS, salt, mode="missrate", backend="fast")
+            for benchmark in benchmarks
+            for salt in salts
+            for config in configs
+        ]
+
+    @pytest.mark.parametrize(
+        "benchmarks,per_workload,salts,workers,expected",
+        [
+            (("gcc",), 6, (0,), 2, 2),  # one workload still fills both workers
+            (("gcc",), 2, range(12), 2, 12),  # equal workloads are never split
+            (("gcc", "swim", "li"), 5, (0,), 2, 3),
+            (("gcc", "swim"), 3, (0,), 4, 4),
+        ],
+    )
+    def test_tasks_partition_pending_within_workloads(
+        self, benchmarks, per_workload, salts, workers, expected
+    ):
+        pending = self.runs(benchmarks, per_workload, salts)
+        tasks = _workload_tasks(pending, workers)
+        assert len(tasks) == expected
+        placed = [run for task in tasks for run in task]
+        assert len(placed) == len(pending) and set(placed) == set(pending)
+        bound = -(-len(pending) // workers)
+        for task in tasks:
+            assert 0 < len(task) <= bound
+            assert len({(r.benchmark, r.instructions, r.salt) for r in task}) == 1
+
+    def test_parent_generates_no_trace(self, no_cache, monkeypatch):
+        """Each worker builds the traces of the workloads it owns."""
+        parent_calls = []
+        generate = runner.generate_trace
+        monkeypatch.setattr(
+            runner, "generate_trace",
+            lambda *args: parent_calls.append(args) or generate(*args),
+        )
+        spec = SweepSpec("pool", tuple(self.runs(BENCHMARKS, 3)))
+        parallel = SweepEngine(jobs=2, use_cache=False).run(spec)
+        assert parent_calls == []
+        assert parallel.to_json() == SweepEngine(jobs=1, use_cache=False).run(spec).to_json()
+
+    def test_spawned_workers_match_serial_bytes(self, tmp_path):
+        script = tmp_path / "spawn_sweep.py"
+        script.write_text(textwrap.dedent('''
+            import multiprocessing
+            import sys
+
+            from repro.sim.config import SystemConfig
+            from repro.sweep.engine import SweepEngine
+            from repro.sweep.spec import SweepSpec
+
+            if __name__ == "__main__":
+                multiprocessing.set_start_method("spawn")
+                spec = SweepSpec.from_grid(
+                    "spawn", ("gcc", "swim"),
+                    (SystemConfig(), SystemConfig().with_dcache(size_kb=8)),
+                    4000, mode="missrate", backend="fast",
+                )
+                parallel = SweepEngine(jobs=2, use_cache=False).run(spec).to_json()
+                serial = SweepEngine(jobs=1, use_cache=False).run(spec).to_json()
+                sys.stdout.write("same" if parallel == serial else "differ")
+        '''))
+        process = subprocess.run(
+            [sys.executable, str(script)],
+            capture_output=True, text=True, timeout=300,
+            env={
+                "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"),
+                "PATH": "/usr/bin:/bin",
+                "REPRO_CACHE_DIR": str(tmp_path / "cache"),
+            },
+        )
+        assert process.returncode == 0, process.stderr
+        assert process.stdout == "same"
 
 
 class TestFailureSemantics:
