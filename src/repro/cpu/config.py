@@ -43,6 +43,11 @@ class CoreConfig:
             "rob_size",
             "lsq_size",
             "dcache_ports",
+            "int_latency",
+            "fp_latency",
+            "branch_latency",
         ):
             if getattr(self, label) < 1:
                 raise ValueError(f"{label} must be >= 1")
+        if self.redirect_penalty < 0:
+            raise ValueError("redirect_penalty must be >= 0")

@@ -16,7 +16,8 @@ backend tiers:
   driven by the array-state out-of-order core and fetch unit
   (:mod:`repro.fastsim.core`, :mod:`repro.fastsim.fetch`) with the
   table-state branch predictors of :mod:`repro.fastsim.predictors`,
-  so ``mode="sim"`` runs batched end to end.
+  over the array-state L2 of :mod:`repro.fastsim.l2`, so
+  ``mode="sim"`` runs batched end to end.
 * ``"vector"`` — the numpy kernel tier (:mod:`repro.fastsim.vector`)
   for functional miss-rate runs: direct-mapped, LRU and 2-way PLRU
   replays become whole-stream gather/scatter classification.
@@ -44,6 +45,7 @@ from repro.fastsim.dcache import FastDCacheEngine
 from repro.fastsim.fetch import FastFetchUnit
 from repro.fastsim.icache import FastICacheEngine
 from repro.fastsim.kernels import FastBackendUnsupported, fast_dcache_kinds
+from repro.fastsim.l2 import FastL2
 from repro.fastsim.missrate import fast_miss_rate
 from repro.fastsim.predictors import (
     FastBranchTargetBuffer,
@@ -65,6 +67,7 @@ __all__ = [
     "FastFetchUnit",
     "FastHybridPredictor",
     "FastICacheEngine",
+    "FastL2",
     "FastReturnAddressStack",
     "fast_dcache_kinds",
     "fast_miss_rate",

@@ -13,18 +13,20 @@ the per-cycle cost is list indexing instead of object-graph traversal:
   committed producer is ready by construction (commit requires
   ``done <= cycle``), which is exactly the reference semantics of
   holding a reference to a retired entry;
-* the issue stage keeps an ordered *pending* list of unissued
-  sequences.  The reference scans the whole ROB every cycle and skips
-  issued entries; scanning only the unissued ones visits the same
-  candidates in the same oldest-first order (issue is the only stage
-  that clears the unissued state) while skipping the dominant
-  per-cycle cost of a mostly-issued 64-entry window.  Each pending
-  item additionally packs a *wake bound* in its low bits: once a
-  blocking producer is seen to have issued with completion cycle
-  ``done``, the consumer provably cannot issue before ``done`` (a
-  producer's ``done`` never changes after issue), so re-scans until
-  then are a single compare instead of a full dependency check —
-  pure scan-cost elision, never a scheduling change;
+* issue is driven by producer wakeup instead of a window scan.  At
+  dispatch each consumer resolves its producers once: a committed one
+  (older than ``head``) is ready, an issued one bounds the consumer's
+  wake cycle by its ``done`` (which never changes after issue), and an
+  unissued one parks the consumer on its slot's waiter list and counts
+  as a blocker.  An issuing producer releases its waiters; one left
+  with no blockers sleeps in a ``(wake, seq)`` heap, which each cycle
+  drains into a sequence-ordered *ready* list.  The issue stage walks
+  only that list, oldest first, under the reference's width and port
+  limits — the same candidates in the same order as the reference's
+  full ROB scan, since an entry is issuable exactly when every
+  producer has issued and completed.  This relies on every latency
+  being at least one cycle (:class:`~repro.cpu.config.CoreConfig`
+  enforces it): no result is consumable in its own issue cycle;
 * fetched instructions arrive as packed ints through the deques of
   :class:`~repro.fastsim.fetch.FastFetchUnit` instead of
   ``FetchedInstr`` objects.
@@ -38,6 +40,8 @@ accumulation, latencies, and every counter byte-identical under
 
 from __future__ import annotations
 
+from bisect import insort
+from heapq import heappush, heappop
 from typing import Optional
 
 from repro.cpu.config import CoreConfig
@@ -46,10 +50,9 @@ from repro.cpu.stats import CoreStats
 from repro.fastsim.fetch import FastFetchUnit
 from repro.workload.instr import OP_FP, OP_INT, OP_LOAD, OP_STORE
 
-#: Pending items pack ``(sequence << _WAKE_BITS) | wake_cycle``; 34 bits
-#: of wake headroom covers ~1.7e10 cycles, far past any modeled trace.
-_WAKE_BITS = 34
-_WAKE_MASK = (1 << _WAKE_BITS) - 1
+#: ``r_done`` of a slot that has not issued: later than any real cycle,
+#: so the commit test ``done > cycle`` also covers "not yet issued".
+_UNISSUED = 1 << 62
 
 
 class FastCore:
@@ -125,20 +128,29 @@ class FastCore:
         redirect_penalty = config.redirect_penalty
 
         # ROB as parallel circular arrays; head/tail are sequence numbers.
+        # ``r_done`` holds _UNISSUED until the slot issues.
         r_index = [0] * rob_size  # trace index of the instruction
-        r_issued = [False] * rob_size
         r_done = [0] * rob_size
         r_ismem = [False] * rob_size
         r_resolves = [0] * rob_size
-        r_srca = [-1] * rob_size  # producer sequence numbers (-1: none)
-        r_srcb = [-1] * rob_size
+        # Wakeup state: unissued in-window producers still awaited, the
+        # latest completion cycle among the issued ones, and the
+        # consumer sequences parked on this slot until it issues.
+        r_blockers = [0] * rob_size
+        r_wake = [0] * rob_size
+        r_waiters = [None] * rob_size
         head = 0
         tail = 0
         lsq_count = 0
         # Rename map: architectural register -> youngest producer sequence.
         rename = [-1] * 64
-        # Unissued sequences, oldest first.
-        pending = []
+        # Consumers whose producers have all issued, as packed
+        # ``(wake << seq_bits) | seq`` ints: heap order is (wake, seq).
+        seq_bits = max(n.bit_length(), 1)
+        seq_mask = (1 << seq_bits) - 1
+        sleeping = []
+        # Sequences issuable now, oldest first.
+        ready = []
 
         committed_total = 0
         issued_total = 0
@@ -165,7 +177,7 @@ class FastCore:
             count = 0
             while head != tail and count < commit_width:
                 slot = head % rob_size
-                if not r_issued[slot] or r_done[slot] > cycle:
+                if r_done[slot] > cycle:  # unissued or still executing
                     break
                 head += 1
                 if r_ismem[slot]:
@@ -175,53 +187,25 @@ class FastCore:
                 committed_total += count
                 last_commit_cycle = cycle
 
-            # ---- issue: oldest-first over the unissued window ---- #
+            # ---- issue: oldest-first over the ready list ---- #
+            if sleeping and sleeping[0] >> seq_bits <= cycle:
+                bound = (cycle + 1) << seq_bits
+                while sleeping and sleeping[0] < bound:
+                    insort(ready, heappop(sleeping) & seq_mask)
             issued = 0
-            if pending:
+            if ready:
                 ports = num_ports
                 keep = 0
-                for item in pending:
+                visited = 0
+                for seq in ready:
                     if issued >= issue_width:
-                        pending[keep] = item
-                        keep += 1
-                        continue
-                    if item & _WAKE_MASK > cycle:
-                        # Blocked on a producer whose completion cycle is
-                        # already known: skip the dependency walk.
-                        pending[keep] = item
-                        keep += 1
-                        continue
-                    seq = item >> _WAKE_BITS
+                        break
+                    visited += 1
                     slot = seq % rob_size
                     if r_ismem[slot] and ports == 0:
-                        pending[keep] = item
+                        ready[keep] = seq
                         keep += 1
                         continue
-                    src = r_srca[slot]
-                    if src >= head:  # in-window producer: check readiness
-                        src_slot = src % rob_size
-                        if not r_issued[src_slot]:
-                            pending[keep] = item
-                            keep += 1
-                            continue
-                        done = r_done[src_slot]
-                        if done > cycle:
-                            pending[keep] = (seq << _WAKE_BITS) | done
-                            keep += 1
-                            continue
-                    src = r_srcb[slot]
-                    if src >= head:
-                        src_slot = src % rob_size
-                        if not r_issued[src_slot]:
-                            pending[keep] = item
-                            keep += 1
-                            continue
-                        done = r_done[src_slot]
-                        if done > cycle:
-                            pending[keep] = (seq << _WAKE_BITS) | done
-                            keep += 1
-                            continue
-
                     index = r_index[slot]
                     op = t_ops[index]
                     if op == OP_LOAD:
@@ -246,13 +230,25 @@ class FastCore:
                         latency = branch_latency
                         int_ops += 1
 
-                    r_issued[slot] = True
                     done = cycle + latency
                     r_done[slot] = done
                     if r_resolves[slot]:
                         resume(done + redirect_penalty)
+                    waiters = r_waiters[slot]
+                    if waiters is not None:
+                        # Release the parked consumers; ``done > cycle``
+                        # (latencies are >= 1), so none issues this cycle.
+                        r_waiters[slot] = None
+                        for consumer in waiters:
+                            wslot = consumer % rob_size
+                            if done > r_wake[wslot]:
+                                r_wake[wslot] = done
+                            left = r_blockers[wslot] - 1
+                            r_blockers[wslot] = left
+                            if not left:
+                                heappush(sleeping, (r_wake[wslot] << seq_bits) | consumer)
                     issued += 1
-                del pending[keep:]
+                del ready[keep:visited]
                 issued_total += issued
 
             # ---- dispatch: fetch queue -> ROB/LSQ ---- #
@@ -271,17 +267,40 @@ class FastCore:
                 queue.popleft()
                 slot = tail % rob_size
                 r_index[slot] = index
-                r_issued[slot] = False
+                r_done[slot] = _UNISSUED
                 r_ismem[slot] = is_mem
                 r_resolves[slot] = packed & 1
-                src = t_src1s[index]
-                r_srca[slot] = rename[src] if src >= 0 else -1
-                src = t_src2s[index]
-                r_srcb[slot] = rename[src] if src >= 0 else -1
+                # Resolve the producers now: a committed one (older than
+                # head) is ready, an issued one bounds the wake cycle,
+                # an unissued one parks this consumer on its slot.
+                blockers = 0
+                wake = 0
+                for src in (t_src1s[index], t_src2s[index]):
+                    if src < 0:
+                        continue
+                    producer = rename[src]
+                    if producer >= head:
+                        pslot = producer % rob_size
+                        done = r_done[pslot]
+                        if done == _UNISSUED:
+                            blockers += 1
+                            waiters = r_waiters[pslot]
+                            if waiters is None:
+                                r_waiters[pslot] = [tail]
+                            else:
+                                waiters.append(tail)
+                        elif done > wake:
+                            wake = done
+                if blockers:
+                    r_blockers[slot] = blockers
+                    r_wake[slot] = wake
+                elif wake > cycle + 1:
+                    heappush(sleeping, (wake << seq_bits) | tail)
+                else:
+                    ready.append(tail)  # the youngest: order holds
                 dst = t_dsts[index]
                 if dst >= 0:
                     rename[dst] = tail
-                pending.append(tail << _WAKE_BITS)
                 tail += 1
                 if is_mem:
                     lsq_count += 1
@@ -297,30 +316,31 @@ class FastCore:
             # ---- idle skip: jump over provably event-free cycles ---- #
             # When a cycle performs no work at all, the machine state is
             # frozen except for the clock; every future enabler has a
-            # known time — the head-of-ROB completion (commit), a
-            # pending wake bound (issue; in an idle cycle the scan
-            # reached every entry, and any entry without a future bound
-            # waits on an older *unissued* producer whose own chain
-            # bottoms out in a bounded entry), or the fetch unit's
-            # block-arrival cycle.  Jumping to the earliest of them and
-            # bulk-adding the per-cycle stall counters the reference
-            # core would have incremented leaves every observable value
-            # identical while eliding the dominant stall-spin cost.
+            # known time — the head-of-ROB completion (commit), the
+            # earliest sleeping wake (issue; an idle cycle leaves the
+            # ready list empty, since its oldest entry would have
+            # issued, and every parked consumer waits on an older
+            # unissued producer whose own chain bottoms out in a
+            # sleeping entry), or the fetch unit's block-arrival cycle.
+            # Jumping to the earliest of them and bulk-adding the
+            # per-cycle stall counters the reference core would have
+            # incremented leaves every observable value identical while
+            # eliding the dominant stall-spin cost.
             if count == 0 and issued == 0 and dispatched == 0 and not fetch_active:
                 event = -1
                 if head != tail:
-                    slot = head % rob_size
-                    if r_issued[slot]:
-                        event = r_done[slot]  # > cycle, else it committed
-                for item in pending:
-                    wake = item & _WAKE_MASK
-                    if wake > cycle and (event < 0 or wake < event):
+                    done = r_done[head % rob_size]
+                    if done != _UNISSUED:
+                        event = done  # > cycle, else it committed
+                if sleeping:
+                    wake = sleeping[0] >> seq_bits  # > cycle: drained above
+                    if event < 0 or wake < event:
                         event = wake
                 fetchable = fetch_unit.index < n and len(queue) < queue_limit
                 if fetchable and not fetch_unit.branch_stalled:
-                    ready = fetch_unit._ready_cycle
-                    if ready > cycle and (event < 0 or ready < event):
-                        event = ready
+                    arrival = fetch_unit._ready_cycle
+                    if arrival > cycle and (event < 0 or arrival < event):
+                        event = arrival
                 if next_tick and event > next_tick:
                     # A pending tick must be visited exactly like the
                     # reference core would: clamp the jump and let the

@@ -19,6 +19,10 @@ class CacheLevelConfig:
     block_bytes: int = 32
     latency: int = 1
 
+    def __post_init__(self) -> None:
+        if self.latency < 1:
+            raise ValueError(f"latency must be >= 1, got {self.latency}")
+
     def geometry(self) -> CacheGeometry:
         """Build the corresponding :class:`CacheGeometry`."""
         return CacheGeometry(

@@ -23,7 +23,9 @@ array-state core and fetch unit (:class:`~repro.fastsim.core.FastCore`,
 :class:`~repro.fastsim.fetch.FastFetchUnit`), which drive whichever L1
 engines were built — including reference fallbacks — through the same
 ``load``/``store``/``fetch`` surface, so the mode="sim" contract stays
-byte-identical end to end.
+byte-identical end to end.  Below the L1s the non-reference backends
+build the array-state L2 (:class:`~repro.fastsim.l2.FastL2`), which
+counts into the same ``CacheStats`` fields the L2 energy is read from.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from repro.fastsim import (
     FastDCacheEngine,
     FastFetchUnit,
     FastICacheEngine,
+    FastL2,
 )
 from repro.cpu.fetch import FetchUnit
 from repro.cpu.ooo import OutOfOrderCore
@@ -144,13 +147,18 @@ class Simulator:
             cycles_per_chunk=config.memory_cycles_per_chunk,
             chunk_bytes=config.memory_chunk_bytes,
         )
-        self.l2 = L2Cache(
+        l2_shape = dict(
             geometry=config.l2.geometry(),
             latency=config.l2.latency,
             memory=memory,
             replacement=config.replacement,
         )
-        hierarchy = MemoryHierarchy(self.l2)
+        if backend == "reference":
+            self.l2 = L2Cache(**l2_shape)
+            hierarchy = MemoryHierarchy(self.l2)
+        else:
+            # The array-state L2 carries the hierarchy surface itself.
+            self.l2 = hierarchy = FastL2(**l2_shape)
         self._l2_energy_model = cacti.energy_model(config.l2.geometry())
 
         # Prediction-structure energies sized from the policy specs

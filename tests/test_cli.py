@@ -141,6 +141,11 @@ def test_sweep_rejects_bad_geometry(capsys):
     assert capsys.readouterr().err
 
 
+def test_sweep_rejects_zero_latency(capsys):
+    assert sweep_main(TINY_SWEEP + ["--latencies", "0"]) == 2
+    assert "latency must be >= 1" in capsys.readouterr().err
+
+
 def test_sweep_rejects_bad_jobs(capsys):
     assert sweep_main(TINY_SWEEP + ["--jobs", "-1"]) == 2
     assert "jobs" in capsys.readouterr().err

@@ -34,8 +34,28 @@ class TestCoreConfig:
         with pytest.raises(ValueError):
             CoreConfig(rob_size=0)
 
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("field", ["int_latency", "fp_latency", "branch_latency"])
+    def test_rejects_latency_below_one(self, field, value):
+        # A 0-cycle result would be consumable in its own issue cycle,
+        # which no pipeline stage models.
+        with pytest.raises(ValueError, match=field):
+            CoreConfig(**{field: value})
+
+    def test_redirect_penalty_may_be_zero_but_not_negative(self):
+        assert CoreConfig(redirect_penalty=0).redirect_penalty == 0
+        with pytest.raises(ValueError, match="redirect_penalty"):
+            CoreConfig(redirect_penalty=-1)
+
 
 class TestSystemConfig:
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_cache_level_rejects_latency_below_one(self, value):
+        with pytest.raises(ValueError, match="latency"):
+            CacheLevelConfig(16, 4, 32, value)
+        with pytest.raises(ValueError, match="latency"):
+            SystemConfig().with_dcache(latency=value)
+
     def test_key_stable_and_distinct(self):
         a, b = SystemConfig(), SystemConfig()
         assert a.key() == b.key()

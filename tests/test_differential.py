@@ -16,8 +16,9 @@ Full-sim mode is covered on both pipeline implementations: the fast
 backend runs the batched core/fetch pair (:mod:`repro.fastsim.core`,
 :mod:`repro.fastsim.fetch`), so every property here also pins the
 cycle-exactness of the array-state scheduler, including under starved
-core shapes (tiny ROB/LSQ, single-issue, one d-cache port) and down to
-``CoreStats`` fields that never reach a ``SimResult``.
+core shapes (tiny ROB/LSQ, single-issue, one d-cache port), under drawn
+core shapes over small evicting L2s, and down to ``CoreStats`` and L2
+``CacheStats`` fields that never reach a ``SimResult``.
 
 The Hypothesis profile is pinned deterministic in ``conftest.py``
 (``derandomize=True``, ``deadline=None``) so this suite cannot flake
@@ -185,6 +186,20 @@ def assert_backends_identical(config: SystemConfig, trace: Trace) -> None:
     assert not mismatched, f"fast backend diverged on: {mismatched}"
 
 
+def run_pipeline(config: SystemConfig, trace: Trace, backend: str):
+    """Drive one backend's core/fetch pair over ``trace``; return its
+    ``CoreStats`` and the L2's ``CacheStats``."""
+    simulator = Simulator(config, backend=backend)
+    stats = CoreStats()
+    if backend == "fast":
+        fetch_unit = FastFetchUnit(trace, simulator.icache, config.core, stats)
+        FastCore(config.core, fetch_unit, simulator.dcache, stats).run()
+    else:
+        fetch_unit = FetchUnit(trace, simulator.icache, config.core, stats)
+        OutOfOrderCore(config.core, fetch_unit, simulator.dcache, stats).run()
+    return stats, simulator.l2.stats
+
+
 # ------------------------------------------------------------------ #
 # Full-simulation equivalence, every registered policy kind
 # ------------------------------------------------------------------ #
@@ -253,24 +268,66 @@ def test_core_stats_identical(shape, trace):
         SMALL.with_icache_policy("waypred"), core=CORE_SHAPES[shape]
     )
 
-    def run_core(backend):
-        simulator = Simulator(config, backend=backend)
-        stats = CoreStats()
-        if backend == "fast":
-            fetch_unit = FastFetchUnit(trace, simulator.icache, config.core, stats)
-            FastCore(config.core, fetch_unit, simulator.dcache, stats).run()
-        else:
-            fetch_unit = FetchUnit(trace, simulator.icache, config.core, stats)
-            OutOfOrderCore(config.core, fetch_unit, simulator.dcache, stats).run()
-        return stats
-
-    reference, fast = run_core("reference"), run_core("fast")
+    (reference, _), (fast, _) = (
+        run_pipeline(config, trace, backend) for backend in ("reference", "fast")
+    )
     mismatched = {
         field.name: (getattr(reference, field.name), getattr(fast, field.name))
         for field in dataclasses.fields(CoreStats)
         if getattr(reference, field.name) != getattr(fast, field.name)
     }
     assert not mismatched, f"fast core stats diverged on: {mismatched}"
+
+
+@st.composite
+def core_configs(draw) -> CoreConfig:
+    """Any legal core shape in a small box: every width, port, window and
+    latency field the scheduler reads, each down to its floor."""
+    widths = st.integers(min_value=1, max_value=8)
+    latencies = st.integers(min_value=1, max_value=12)
+    return CoreConfig(
+        fetch_width=draw(widths),
+        dispatch_width=draw(widths),
+        issue_width=draw(widths),
+        commit_width=draw(widths),
+        dcache_ports=draw(st.integers(min_value=1, max_value=3)),
+        rob_size=draw(st.integers(min_value=2, max_value=64)),
+        lsq_size=draw(st.integers(min_value=1, max_value=32)),
+        int_latency=draw(latencies),
+        fp_latency=draw(latencies),
+        branch_latency=draw(latencies),
+        redirect_penalty=draw(st.integers(min_value=0, max_value=6)),
+    )
+
+
+#: L2 shapes small enough that short traces evict from them, dirty
+#: victims included: (size_kb, associativity).
+SMALL_L2S = [(1, 1), (2, 2), (4, 8)]
+
+
+@settings(max_examples=60)
+@given(
+    trace=traces(),
+    core=core_configs(),
+    l2=st.sampled_from(SMALL_L2S),
+    replacement=st.sampled_from(["lru", "plru", "fifo", "random"]),
+)
+def test_drawn_core_and_l2_identical(trace, core, l2, replacement):
+    """Fast == reference for drawn core shapes over small L2s: the
+    result record, every ``CoreStats`` field and every L2 counter."""
+    size_kb, ways = l2
+    config = dataclasses.replace(
+        SMALL.with_dcache_policy("seldm_waypred").with_icache_policy("waypred"),
+        core=core,
+        l2=CacheLevelConfig(size_kb, ways, 32, 6),
+        replacement=replacement,
+    )
+    assert_backends_identical(config, trace)
+    (ref_core, ref_l2), (fast_core, fast_l2) = (
+        run_pipeline(config, trace, backend) for backend in ("reference", "fast")
+    )
+    assert dataclasses.asdict(fast_core) == dataclasses.asdict(ref_core)
+    assert dataclasses.asdict(fast_l2) == dataclasses.asdict(ref_l2)
 
 
 @pytest.mark.parametrize("replacement", ["lru", "fifo", "random", "plru"])

@@ -1,8 +1,13 @@
 """L2 cache and memory hierarchy tests."""
 
+import dataclasses
+import random
+
+import pytest
 
 from repro.cache.geometry import CacheGeometry
 from repro.cache.hierarchy import L2Cache, MainMemory, MemoryHierarchy
+from repro.fastsim.l2 import FastL2
 
 
 class TestMainMemory:
@@ -58,3 +63,29 @@ class TestMemoryHierarchy:
         hierarchy = MemoryHierarchy(L2Cache(CacheGeometry(4096, 8, 32)))
         hierarchy.absorb_writeback(0x300)
         assert hierarchy.l2.array.contains(0x300)
+
+
+class TestFastL2:
+    """The array-state L2 answers and counts exactly like ``L2Cache``."""
+
+    @pytest.mark.parametrize("replacement", ["lru", "plru", "fifo", "random"])
+    @pytest.mark.parametrize("size, ways", [(1024, 1), (2048, 2), (4096, 8)])
+    def test_random_stream_matches_reference(self, size, ways, replacement):
+        geometry = CacheGeometry(size, ways, 32)
+        memory = MainMemory(base_latency=40)
+        reference = MemoryHierarchy(L2Cache(geometry, 7, memory, replacement))
+        fast = FastL2(geometry, 7, memory, replacement)
+        rng = random.Random(f"{size}-{ways}-{replacement}")
+        # Four times the L2's blocks: hits, conflicts and dirty victims.
+        blocks = 4 * size // 32
+        for _ in range(3000):
+            addr = rng.randrange(blocks) * 32 + rng.randrange(32)
+            op = rng.choice(("fetch_block", "fetch_block", "store_block", "absorb_writeback"))
+            assert getattr(fast, op)(addr) == getattr(reference, op)(addr)
+        expected = dataclasses.asdict(reference.l2.stats)
+        assert dataclasses.asdict(fast.stats) == expected
+        assert expected["writebacks"] > 0 and expected["load_hits"] > 0
+
+    def test_rejects_unknown_replacement(self):
+        with pytest.raises(ValueError, match="unknown replacement"):
+            FastL2(CacheGeometry(4096, 1, 32), replacement="bogus")

@@ -93,6 +93,8 @@ class TestProtocol:
             ({"kind": "experiment", "experiments": ["nope"]}, "unknown experiment"),
             ({"kind": "experiment", "experiments": ["table4"],
               "benchmarks": ["trace://x.din"]}, "unknown benchmark"),
+            ({"kind": "sweep", "latencies": [0]}, "positive integers"),
+            ({"kind": "sweep", "latencies": [-1]}, "positive integers"),
         ],
     )
     def test_malformed_requests(self, body, match):
